@@ -20,6 +20,7 @@ always re-verified by substitution before being reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -37,7 +38,6 @@ from .kernel import (
     compare_to_max_fixed_point,
     frac_side_of_max_fixed_point,
     iroot,
-    isqrt,
     max_fixed_point_floor,
     max_fixed_point_floor_q,
     perfect_square_root,
@@ -122,7 +122,7 @@ def solve_pronic(n: int) -> tuple[int, str] | None:
     """
     if n < 0:
         return None
-    j = (isqrt(4 * n + 1) - 1) // 2
+    j = (math.isqrt(4 * n + 1) - 1) // 2
     for cand in (j - 1, j, j + 1):
         if cand < 0:
             continue
@@ -286,6 +286,22 @@ def classify_quad(quad: QuadMap) -> OrbitClassification:
 # ====================================================================
 
 
+def _band_range(top: int, side_of) -> range:
+    """Integers n in [0, top] at or above the band floor, by binary search on
+    the monotone side_of(n); top is the floor of the max fixed point.
+    """
+    if side_of(top) is Side.BELOW:
+        return range(0)
+    lo, hi = 0, top  # least n >= floor; invariant: hi is at or above the floor
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if side_of(mid) is Side.BELOW:
+            lo = mid + 1
+        else:
+            hi = mid
+    return range(lo, top + 1)
+
+
 def band_integers(m: int, k: int) -> list[int]:
     """All integers n >= 0 with band floor <= n <= max fixed point.
 
@@ -298,16 +314,7 @@ def band_integers(m: int, k: int) -> list[int]:
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
     top = max_fixed_point_floor(m, k)
-    if compare_to_band_floor(top, m, k) is Side.BELOW:
-        return []
-    lo, hi = 0, top  # least n >= floor; invariant: hi is at or above the floor
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_to_band_floor(mid, m, k) is Side.BELOW:
-            lo = mid + 1
-        else:
-            hi = mid
-    return list(range(lo, top + 1))
+    return list(_band_range(top, lambda n: compare_to_band_floor(n, m, k)))
 
 
 @dataclass(frozen=True)
@@ -361,15 +368,17 @@ def band_width_exceeds_one(k: int) -> bool:
     """Exact check that fix - floor > 1 in degree 2, via a rational witness.
 
     Find a rational r with floor <= r and r + 1 < fix; then
-    floor + 1 <= r + 1 < fix.  A certified decimal bracket supplies r; the
-    comparison of r + 1 against the fixed point is an exact sign test.
+    floor + 1 <= r + 1 < fix.  A certified decimal bracket supplies r, in
+    units of 10**-digits; the comparison of r + 1 against the fixed point is
+    an exact sign test on the scaled integers.
     """
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
     for digits in (6, 12, 24, 48):
+        unit = 10**digits
         low = approx_band_floor(2, k, digits)
-        r = low.as_fraction() + low.error_bound
-        if frac_side_of_max_fixed_point(r + 1, 2, k) is Side.BELOW:
+        r = int(low.value.replace(".", "")) + 1  # floor <= r / unit
+        if frac_side_of_max_fixed_point(r + unit, 2, k, unit=unit) is Side.BELOW:
             return True
     return False
 
@@ -446,17 +455,7 @@ def translation_bounds(q: Fraction, digits: int = 6) -> BoundsProfile:
     has_floor = band_floor_is_real_q(q)
     in_band: tuple[int, ...] = ()
     if has_floor:
-        lo, hi = 0, top_floor
-        if compare_to_band_floor_q(top_floor, q) is Side.BELOW:
-            in_band = ()
-        else:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if compare_to_band_floor_q(mid, q) is Side.BELOW:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            in_band = tuple(range(lo, top_floor + 1))
+        in_band = tuple(_band_range(top_floor, lambda n: compare_to_band_floor_q(n, q)))
     fixed_pair = None
     root = rational_square_root(1 + 4 * q)
     if root is not None:

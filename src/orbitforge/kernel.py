@@ -10,13 +10,17 @@ integers against two irrational landmarks on the positive axis:
   it keep their next iterate inside [-fix, fix], seeds below it are thrown
   past -fix and never return.
 
-Both orderings reduce to the sign of an integer (or rational) evaluation of
-x**m - x - k, so no floating point is used anywhere in a decision.  The same
-predicates serve the rational-parameter family x -> x**2 - q that integer
-quadratics reduce to under an affine change of coordinates.
+The rational-parameter family x -> x**2 - q that integer quadratics reduce
+to under an affine change of coordinates has the same two landmarks.  Every
+ordering in both families is one exact sign test on scaled integers: a test
+point n/d (d > 0) against the larger root of x**m - x - qn/qd is decided by
+the sign of qd*(n**m - n*d**(m-1)) - qn*d**m (the power family is qd = 1,
+the q-family m = 2), and the band floor side is the reversed fixed-point
+side of q - x**m.  No floating point is used anywhere in a decision.
 
 Decimal output exists solely for plots and reports: it is produced by exact
-bisection on scaled integers and carries a certified error bound.
+bisection on scaled integers (the test point mid / 10**digits, never a
+Fraction) and carries a certified error bound.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from fractions import Fraction
 __all__ = [
     "Side",
     "DecimalApprox",
-    "isqrt",
     "iroot",
     "perfect_square_root",
     "rational_square_root",
@@ -61,13 +64,6 @@ class Side(enum.Enum):
 # ====================================================================
 # integer roots
 # ====================================================================
-
-
-def isqrt(n: int) -> int:
-    """Floor square root of n >= 0."""
-    if n < 0:
-        raise ValueError("isqrt of negative integer")
-    return math.isqrt(n)
 
 
 def iroot(n: int, m: int) -> int:
@@ -120,6 +116,54 @@ def rational_square_root(x: Fraction) -> Fraction | None:
 
 
 # ====================================================================
+# the exact sign test behind every side predicate
+# ====================================================================
+
+
+def _fix_sign(n: int, d: int, m: int, qn: int, qd: int) -> int:
+    """-1, 0 or 1 as n/d (d > 0) is below, at or above the larger root of
+    x**m - x - qn/qd (qd > 0).
+
+    Callers guarantee that root is real and at least 1/2: the power family
+    (qd == 1, k >= 1) or the q-family (m == 2, 1 + 4q >= 0).  From 1/2 up
+    the form is negative before the root and positive after it, so the sign
+    of qd*d**m * (x**m - x - q) decides.
+    """
+    if 2 * n < d:
+        return -1
+    s = qd * (n**m - n * d ** (m - 1)) - qn * d**m
+    return (s > 0) - (s < 0)
+
+
+def _floor_sign(n: int, d: int, m: int, qn: int, qd: int) -> int:
+    """-1, 0 or 1 as n/d >= 0 is below, at or above the real band floor
+    (q - fix)**(1/m): x >= floor iff x**m >= q - fix iff fix >= t = q - x**m,
+    so it is the reversed fixed-point side of t.
+    """
+    return -_fix_sign(qn * d**m - qd * n**m, qd * d**m, m, qn, qd)
+
+
+def _fix_floor(m: int, qn: int, qd: int) -> int:
+    """Largest integer at or below the larger root of x**m - x - qn/qd; at
+    integers x >= 1 the sign test reads: x is above it iff qd*(x**m - x) > qn.
+    """
+    hi = 1
+    while qd * (hi**m - hi) <= qn:
+        hi *= 2
+    lo = 0  # the root is >= 1/2 > 0; invariant: lo <= fix < hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if qd * (mid**m - mid) > qn:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+_SIDES = (Side.EQUAL, Side.ABOVE, Side.BELOW)  # indexed by the sign 0, 1, -1
+
+
+# ====================================================================
 # side predicates for the integer family x -> x**m - k
 # ====================================================================
 
@@ -129,6 +173,11 @@ def _check_family(m: int, k: int) -> None:
         raise ValueError("degree must be >= 2")
     if k < 1:
         raise ValueError("shift must be >= 1 (max fixed point above 1)")
+
+
+def _ratio(x) -> tuple[int, int]:
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def compare_to_max_fixed_point(x: int, m: int, k: int) -> Side:
@@ -141,79 +190,51 @@ def compare_to_max_fixed_point(x: int, m: int, k: int) -> Side:
     _check_family(m, k)
     if x < 1:
         raise ValueError("comparison is only monotone for x >= 1")
-    d = x**m - x - k
-    if d < 0:
-        return Side.BELOW
-    if d > 0:
-        return Side.ABOVE
-    return Side.EQUAL
+    return _SIDES[_fix_sign(x, 1, m, k, 1)]
 
 
 def compare_to_band_floor(x: int, m: int, k: int) -> Side:
-    """Order an integer x >= 0 against the band floor (k - fix)**(1/m).
+    """Order an integer x >= 0 against the band floor (k - fix)**(1/m), real for k >= 2."""
+    if x < 0:
+        raise ValueError("band floor comparisons need x >= 0")
+    if k < 2:
+        raise ValueError("band floor is real only for k >= 2")
+    _check_family(m, k)
+    return _SIDES[_floor_sign(x, 1, m, k, 1)]
 
-    Squaring reduction: with t = k - x**m,
-        x >= floor  iff  x**m >= k - fix  iff  fix >= t,
-    which is trivial for t <= 0 and otherwise decided by
-    compare_to_max_fixed_point(t, m, k) inside its own precondition (t >= 1).
-    Requires k >= 2 so that the floor is real.
+
+def frac_side_of_max_fixed_point(x: Fraction, m: int, k: int, *, unit=None) -> Side:
+    """Rational-test-point version of compare_to_max_fixed_point.
+
+    With `unit`, the test point is the scaled integer x / unit and (m, k) are
+    taken as already checked: certified bisection calls it this way, so a
+    step builds no Fraction and repeats no check.
     """
-    if x < 0:
-        raise ValueError("band floor comparisons need x >= 0")
-    if k < 2:
-        raise ValueError("band floor is real only for k >= 2")
-    _check_family(m, k)
-    t = k - x**m
-    if t <= 0:
-        return Side.ABOVE
-    side = compare_to_max_fixed_point(t, m, k)
-    if side is Side.EQUAL:
-        return Side.EQUAL
-    return Side.ABOVE if side is Side.BELOW else Side.BELOW
+    if unit is None:
+        _check_family(m, k)
+        x, unit = _ratio(x)
+    return _SIDES[_fix_sign(x, unit, m, k, 1)]
 
 
-def frac_side_of_max_fixed_point(x: Fraction, m: int, k: int) -> Side:
-    """Rational-test-point version of compare_to_max_fixed_point."""
-    _check_family(m, k)
-    x = Fraction(x)
-    if x < 1:
-        return Side.BELOW  # the fixed point exceeds 1 whenever k >= 1
-    d = x**m - x - k
-    if d < 0:
-        return Side.BELOW
-    if d > 0:
-        return Side.ABOVE
-    return Side.EQUAL
+def frac_side_of_band_floor(x: Fraction, m: int, k: int, *, unit=None) -> Side:
+    """Rational-test-point version of compare_to_band_floor.
 
-
-def frac_side_of_band_floor(x: Fraction, m: int, k: int) -> Side:
-    """Rational-test-point version of compare_to_band_floor."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("band floor comparisons need x >= 0")
-    if k < 2:
-        raise ValueError("band floor is real only for k >= 2")
-    _check_family(m, k)
-    side = frac_side_of_max_fixed_point(k - x**m, m, k)
-    if side is Side.EQUAL:
-        return Side.EQUAL
-    return Side.ABOVE if side is Side.BELOW else Side.BELOW
+    `unit` works as in frac_side_of_max_fixed_point.
+    """
+    if unit is None:
+        x, unit = _ratio(x)
+        if x < 0:
+            raise ValueError("band floor comparisons need x >= 0")
+        if k < 2:
+            raise ValueError("band floor is real only for k >= 2")
+        _check_family(m, k)
+    return _SIDES[_floor_sign(x, unit, m, k, 1)]
 
 
 def max_fixed_point_floor(m: int, k: int) -> int:
     """Largest integer at or below the max fixed point of x -> x**m - k."""
     _check_family(m, k)
-    hi = 2
-    while hi**m - hi - k <= 0:
-        hi *= 2
-    lo = 1  # invariant: lo <= fix < hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**m - mid - k <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _fix_floor(m, k, 1)
 
 
 # ====================================================================
@@ -221,67 +242,52 @@ def max_fixed_point_floor(m: int, k: int) -> int:
 # ====================================================================
 
 
-def _require_real_fixed_points_q(q: Fraction) -> None:
+def _check_q(q) -> Fraction:
+    q = Fraction(q)
     if 1 + 4 * q < 0:
         raise ValueError("no real fixed points: 1 + 4q < 0")
+    return q
 
 
-def compare_to_max_fixed_point_q(x: Fraction | int, q: Fraction) -> Side:
+def compare_to_max_fixed_point_q(x: Fraction | int, q: Fraction, *, unit=None) -> Side:
     """Order a rational x against the larger fixed point of x -> x**2 - q.
 
     That fixed point is (1 + sqrt(1 + 4q)) / 2 >= 1/2; the quadratic form
     x**2 - x - q is increasing for x >= 1/2 so its sign decides there, and
-    x < 1/2 is always BELOW.
+    x < 1/2 is always BELOW.  With `unit`, the test point is x / unit and q
+    is a Fraction already checked (see frac_side_of_max_fixed_point).
     """
-    q = Fraction(q)
-    _require_real_fixed_points_q(q)
-    x = Fraction(x)
-    if 2 * x < 1:
-        return Side.BELOW
-    d = x * x - x - q
-    if d < 0:
-        return Side.BELOW
-    if d > 0:
-        return Side.ABOVE
-    return Side.EQUAL
+    if unit is None:
+        q = _check_q(q)
+        x, unit = _ratio(x)
+    return _SIDES[_fix_sign(x, unit, 2, q.numerator, q.denominator)]
 
 
 def band_floor_is_real_q(q: Fraction) -> bool:
     """Whether sqrt(q - fix) is real, i.e. q is at or above its own fixed point."""
-    q = Fraction(q)
-    _require_real_fixed_points_q(q)
-    return compare_to_max_fixed_point_q(q, q) in (Side.ABOVE, Side.EQUAL)
+    q = _check_q(q)
+    return _fix_sign(q.numerator, q.denominator, 2, q.numerator, q.denominator) >= 0
 
 
-def compare_to_band_floor_q(x: Fraction | int, q: Fraction) -> Side:
-    """Order a rational x >= 0 against sqrt(q - fix) for x -> x**2 - q."""
-    q = Fraction(q)
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("band floor comparisons need x >= 0")
-    if not band_floor_is_real_q(q):
-        raise ValueError("band floor is real only when q >= its fixed point")
-    side = compare_to_max_fixed_point_q(q - x * x, q)
-    if side is Side.EQUAL:
-        return Side.EQUAL
-    return Side.ABOVE if side is Side.BELOW else Side.BELOW
+def compare_to_band_floor_q(x: Fraction | int, q: Fraction, *, unit=None) -> Side:
+    """Order a rational x >= 0 against sqrt(q - fix) for x -> x**2 - q.
+
+    `unit` works as in compare_to_max_fixed_point_q.
+    """
+    if unit is None:
+        q = Fraction(q)
+        x, unit = _ratio(x)
+        if x < 0:
+            raise ValueError("band floor comparisons need x >= 0")
+        if not band_floor_is_real_q(q):
+            raise ValueError("band floor is real only when q >= its fixed point")
+    return _SIDES[_floor_sign(x, unit, 2, q.numerator, q.denominator)]
 
 
 def max_fixed_point_floor_q(q: Fraction) -> int:
     """Largest integer at or below the larger fixed point of x -> x**2 - q."""
-    q = Fraction(q)
-    _require_real_fixed_points_q(q)
-    hi = 1
-    while compare_to_max_fixed_point_q(hi, q) is not Side.ABOVE:
-        hi *= 2
-    lo = 0  # the fixed point is >= 1/2 > 0; invariant: lo <= fix < hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if compare_to_max_fixed_point_q(mid, q) is Side.ABOVE:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    q = _check_q(q)
+    return _fix_floor(2, q.numerator, q.denominator)
 
 
 # ====================================================================
@@ -315,12 +321,14 @@ def format_decimal(scaled: int, digits: int) -> str:
     return f"{sign}{scaled // unit}.{scaled % unit:0{digits}d}"
 
 
-def _bisect_decimal(side_of, digits: int, int_ceiling: int) -> DecimalApprox:
+def _bisect_decimal(side_of, params: tuple, digits: int, int_ceiling: int) -> DecimalApprox:
     """Certified decimal floor of a landmark in [0, int_ceiling + 1).
 
-    side_of(p) must report the position of the rational test point p relative
-    to the landmark.  Bisection keeps the landmark in [lo, hi) scaled units;
-    an exact hit short-circuits with error_bound 0.
+    side_of(n, *params, unit=unit) must report the position of the test
+    point n / unit relative to the landmark; the caller has checked params
+    once, so the steps repeat no check and build no Fraction.  Bisection
+    keeps the landmark in [lo, hi) scaled units; an exact hit short-circuits
+    with error_bound 0.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -328,7 +336,7 @@ def _bisect_decimal(side_of, digits: int, int_ceiling: int) -> DecimalApprox:
     lo, hi = 0, (int_ceiling + 1) * unit
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        side = side_of(Fraction(mid, unit))
+        side = side_of(mid, *params, unit=unit)
         if side is Side.EQUAL:
             return DecimalApprox(format_decimal(mid, digits), digits, Fraction(0))
         if side is Side.BELOW:
@@ -340,9 +348,8 @@ def _bisect_decimal(side_of, digits: int, int_ceiling: int) -> DecimalApprox:
 
 def approx_max_fixed_point(m: int, k: int, digits: int) -> DecimalApprox:
     """Certified decimal for the max fixed point of x -> x**m - k."""
-    _check_family(m, k)
     top = max_fixed_point_floor(m, k)
-    return _bisect_decimal(lambda p: frac_side_of_max_fixed_point(p, m, k), digits, top)
+    return _bisect_decimal(frac_side_of_max_fixed_point, (m, k), digits, top)
 
 
 def approx_band_floor(m: int, k: int, digits: int) -> DecimalApprox:
@@ -350,14 +357,14 @@ def approx_band_floor(m: int, k: int, digits: int) -> DecimalApprox:
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
     top = max_fixed_point_floor(m, k)  # the floor never exceeds the fixed point
-    return _bisect_decimal(lambda p: frac_side_of_band_floor(p, m, k), digits, top)
+    return _bisect_decimal(frac_side_of_band_floor, (m, k), digits, top)
 
 
 def approx_max_fixed_point_q(q: Fraction, digits: int) -> DecimalApprox:
     """Certified decimal for the larger fixed point of x -> x**2 - q."""
     q = Fraction(q)
     top = max_fixed_point_floor_q(q)
-    return _bisect_decimal(lambda p: compare_to_max_fixed_point_q(p, q), digits, top)
+    return _bisect_decimal(compare_to_max_fixed_point_q, (q,), digits, top)
 
 
 def approx_band_floor_q(q: Fraction, digits: int) -> DecimalApprox:
@@ -366,4 +373,4 @@ def approx_band_floor_q(q: Fraction, digits: int) -> DecimalApprox:
     if not band_floor_is_real_q(q):
         raise ValueError("band floor is real only when q >= its fixed point")
     top = max_fixed_point_floor_q(q)
-    return _bisect_decimal(lambda p: compare_to_band_floor_q(p, q), digits, top)
+    return _bisect_decimal(compare_to_band_floor_q, (q,), digits, top)

@@ -43,8 +43,6 @@ __all__ = [
 # above this modulus, residue products no longer fit in int64
 _NUMPY_LIMIT = 1 << 31
 
-NAIVE_SOFT_LIMIT = 10_000  # naive_graph_oracle is quadratic; keep M at or below this
-
 
 @dataclass(frozen=True)
 class FunctionalGraphSummary:
@@ -143,7 +141,7 @@ def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
 def naive_graph_oracle(the_map, modulus: int) -> FunctionalGraphSummary:
     """Same summary by independent per-node iteration (<= M steps each).
 
-    Quadratic in the modulus; intended for M up to NAIVE_SOFT_LIMIT.
+    Quadratic in the modulus; intended for small M.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")

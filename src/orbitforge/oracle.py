@@ -20,9 +20,10 @@ answer.  The two computations share no formulas, which is the point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .kernel import iroot, isqrt, max_fixed_point_floor
+from .kernel import iroot, max_fixed_point_floor
 from .classify import (
     ALL_FIXED,
     Cycle,
@@ -42,13 +43,6 @@ __all__ = [
     "cross_check",
     "escape_is_sound",
 ]
-
-JUSTIFICATIONS = (
-    "max_fixed_point_floor",
-    "conjugacy_pullback",
-    "odd_degree_monotone",
-    "no_real_fixed_point",
-)
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ def escape_bound(the_map) -> EscapeBound:
             return EscapeBound(1, "no_real_fixed_point")
         # exact ceil((1 + |b| + sqrt(disc)) / (2|a|)) by integer sqrt bracketing
         num, den = 1 + abs(b), 2 * abs(a)
-        t = (num + isqrt(disc)) // den
+        t = (num + math.isqrt(disc)) // den
         while t * den - num < 0 or (t * den - num) ** 2 < disc:
             t += 1
         return EscapeBound(t, "conjugacy_pullback")

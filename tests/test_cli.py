@@ -1,5 +1,6 @@
 """Command-line surface: rendering, grids, exit codes, file handling."""
 
+import hashlib
 import json
 import sys
 
@@ -251,6 +252,26 @@ def test_bounds_svg_is_deterministic(capsys):
     assert first.rstrip().endswith("</svg>")
     for tag in ("polyline", "circle", "stroke-dasharray"):
         assert tag in first
+
+
+# SHA-256 of `bounds --k 0..300 --digits 12` stdout, recorded with the
+# Fraction-bisection kernel that the scaled-integer sign test replaced
+BOUNDS_0_300_SHA256 = {
+    ("csv", False): "41a942283bf94d5d45540ea1ac9099d53202ade0ab38db32e4b558cf9862e400",
+    ("json", False): "e985ab1ac326b25ad473f35eb20e50f2fd6cc5429344790ff0490845135556b6",
+    ("svg", False): "bd42744167dc8b2e603b806919a8d973d2007c2cef3006f458981e23ccdfedb7",
+    ("csv", True): "59ab5f3b6ff42d0a9d8bb7527f092fc441c4ffffd000d79dadc3ffbb2d5ca05c",
+    ("json", True): "b95bf902d7c983fa2deb0a0e32d926f2385739bd2966f63f2e59d51800a6ebd8",
+    ("svg", True): "4309f11ba4c8148c783ad6db68a82ffa69d1f4f43492a4dbe26362c947afc725",
+}
+
+
+@pytest.mark.parametrize("fmt,odd_linear", sorted(BOUNDS_0_300_SHA256))
+def test_bounds_golden_bytes(capsys, fmt, odd_linear):
+    argv = ["bounds", "--k", "0..300", "--digits", "12", "--format", fmt]
+    assert main(argv + (["--odd-linear"] if odd_linear else [])) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == BOUNDS_0_300_SHA256[(fmt, odd_linear)]
 
 
 def test_bounds_usage_errors():

@@ -1,5 +1,6 @@
 """Exact-arithmetic primitives: integer roots, side predicates, decimals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from orbitforge.kernel import (
     frac_side_of_band_floor,
     frac_side_of_max_fixed_point,
     iroot,
-    isqrt,
     max_fixed_point_floor,
     max_fixed_point_floor_q,
     perfect_square_root,
@@ -37,15 +37,6 @@ rationals = st.fractions(
 # ====================================================================
 # integer roots
 # ====================================================================
-
-
-def test_isqrt_values():
-    assert isqrt(0) == 0
-    assert isqrt(15) == 3
-    assert isqrt(16) == 4
-    assert isqrt(10**30) == 10**15
-    with pytest.raises(ValueError):
-        isqrt(-1)
 
 
 def test_iroot_values():
@@ -76,7 +67,7 @@ def test_perfect_square_root_round_trip(r):
 def test_perfect_square_root_is_exact(n):
     root = perfect_square_root(n)
     if root is None:
-        assert n < 0 or isqrt(max(n, 0)) ** 2 != n
+        assert n < 0 or math.isqrt(max(n, 0)) ** 2 != n
     else:
         assert root * root == n
 
@@ -304,3 +295,60 @@ def test_approx_q_brackets(q, digits):
     else:
         assert compare_to_band_floor_q(w, q) is not Side.ABOVE
         assert compare_to_band_floor_q(w + b.error_bound, q) is not Side.BELOW
+
+
+# The properties above check each bisection with the predicates it calls.
+# These check the same certified decimals against the landmarks' defining
+# polynomials, evaluated here in Fraction arithmetic.
+
+
+def _root_side(t, m, q):
+    """-1, 0 or 1 as t is below, at or above the larger root of x**m - x - q.
+
+    Valid when that root is at least 1/2 (k >= 1, or 1 + 4q >= 0 for m = 2):
+    from 1/2 up, the polynomial is negative before the root, positive after.
+    """
+    if 2 * t < 1:
+        return -1
+    g = t**m - t - q
+    return (g > 0) - (g < 0)
+
+
+def _assert_brackets(approx, side, digits):
+    """approx pins the landmark whose side of a point is side(point)."""
+    lo = Fraction(approx.value)
+    assert approx.digits == digits and len(approx.value.split(".")[1]) == digits
+    if approx.error_bound == 0:
+        assert side(lo) == 0
+    else:
+        assert approx.error_bound == Fraction(1, 10**digits)
+        assert side(lo) <= 0 and side(lo + approx.error_bound) == 1
+
+
+def _fix_side(m, q):
+    return lambda x: _root_side(x, m, q)
+
+
+def _floor_side(m, q):
+    # x >= (q - fix)**(1/m)  iff  fix >= q - x**m
+    return lambda x: -_root_side(q - x**m, m, q)
+
+
+@pytest.mark.parametrize("digits", [3, 12])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("k", [2, 3, 6, 7, 14, 250, 10**6 + 3])
+def test_power_decimals_bracket_the_polynomial_roots(k, m, digits):
+    _assert_brackets(approx_max_fixed_point(m, k, digits), _fix_side(m, k), digits)
+    _assert_brackets(approx_band_floor(m, k, digits), _floor_side(m, k), digits)
+
+
+@pytest.mark.parametrize("digits", [3, 12])
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(k) - Fraction(1, 4) for k in (1, 3, 42, 10**6)]
+    + [Fraction(7, 4), Fraction(19, 4), Fraction(2, 3)],
+)
+def test_q_decimals_bracket_the_polynomial_roots(q, digits):
+    _assert_brackets(approx_max_fixed_point_q(q, digits), _fix_side(2, q), digits)
+    if q >= 2:  # the band floor is real exactly from q = 2 on
+        _assert_brackets(approx_band_floor_q(q, digits), _floor_side(2, q), digits)
