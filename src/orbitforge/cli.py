@@ -13,16 +13,25 @@ conjugate     normal-form reduction of an integer quadratic
 Exit codes: 0 success (and agreement), 1 verified disagreement (anomaly),
 2 usage error, 3 I/O or checkpoint failure.
 
+Each subcommand declares the options it reads, so argparse refuses the rest
+with exit 2.  --format lists exactly the formats a subcommand renders, the
+first being the default: bounds takes table, json, csv or svg, modscan only
+csv, every other subcommand table or json.  --cap belongs to orbit alone.
+Every subcommand takes --out (write there instead of stdout) and --workers
+(processes for oracle and modscan; default: the ORBITFORGE_WORKERS
+environment variable, else 1).
+
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
-Workers default to the ORBITFORGE_WORKERS environment variable.  All integer
-output is full decimal, never scientific notation.
+All integer output is full decimal, never scientific notation.
+
+A resumed modscan (same --out and --checkpoint) cuts its CSV back to the rows
+the checkpoint covers, so it ends with the bytes of an uninterrupted run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
@@ -44,7 +53,7 @@ from .kernel import (
     perfect_square_root,
 )
 from .maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check, parse_rational
-from .modular import CheckpointError, max_cycle_scan, read_checkpoint
+from .modular import CheckpointError, max_cycle_scan, ordered_map, read_checkpoint
 from .oracle import cross_check, escape_bound, iterate_with_escape
 
 __all__ = ["main", "entrypoint", "parse_grid", "render_classification_json"]
@@ -102,14 +111,6 @@ def _resolve_workers(args) -> int:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
-
-
-def _check_format(args, allowed: tuple[str, ...]) -> str:
-    if args.format not in allowed:
-        raise ValueError(
-            f"format {args.format!r} is not supported here (choose from {', '.join(allowed)})"
-        )
-    return args.format
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -195,10 +196,9 @@ def _decimal_minus_one(d: DecimalApprox) -> str:
 
 
 def cmd_classify(args) -> int:
-    fmt = _check_format(args, ("table", "json"))
     the_map = _build_map(args.family, args.params)
     cls = classify_power(the_map) if isinstance(the_map, PowerMap) else classify_quad(the_map)
-    if fmt == "json":
+    if args.format == "json":
         _emit(render_classification_json(the_map, cls), args.out)
     else:
         _emit(_render_classification_table(the_map, cls), args.out)
@@ -206,11 +206,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    fmt = _check_format(args, ("table", "json"))
     the_map = _build_map(args.family, args.params)
     cap = args.cap if args.cap is not None else 4 * escape_bound(the_map).bound + 4
     trace = iterate_with_escape(the_map, args.seed, cap)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "map": _map_payload(the_map),
             "seed": str(trace.seed),
@@ -244,7 +243,6 @@ def _oracle_task(the_map) -> tuple[str, bool, str]:
 
 
 def cmd_oracle(args) -> int:
-    fmt = _check_format(args, ("table", "json"))
     if args.family == "power":
         if args.m is None or args.k is None:
             raise ValueError("oracle power needs --m and --k grids")
@@ -263,26 +261,14 @@ def cmd_oracle(args) -> int:
         ]
         if not maps:
             raise ValueError("grid contains no valid quadratics")
-    workers = _resolve_workers(args)
     disagreements: list[tuple[str, str]] = []
     lines: list[str] = []
-    if workers > 1 and len(maps) > 1:
-        chunk = max(1, len(maps) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.imap(_oracle_task, maps, chunksize=chunk)
-            for label, agree, diff in results:
-                if not agree:
-                    disagreements.append((label, diff))
-                if fmt == "table":
-                    lines.append(f"{label}: {'agree' if agree else 'DISAGREE: ' + diff}")
-    else:
-        for the_map in maps:
-            label, agree, diff = _oracle_task(the_map)
-            if not agree:
-                disagreements.append((label, diff))
-            if fmt == "table":
-                lines.append(f"{label}: {'agree' if agree else 'DISAGREE: ' + diff}")
-    if fmt == "json":
+    for label, agree, diff in ordered_map(_oracle_task, maps, _resolve_workers(args)):
+        if not agree:
+            disagreements.append((label, diff))
+        if args.format == "table":
+            lines.append(f"{label}: {'agree' if agree else 'DISAGREE: ' + diff}")
+    if args.format == "json":
         payload = {
             "checked": len(maps),
             "agree": len(maps) - len(disagreements),
@@ -334,22 +320,27 @@ def _bounds_rows(ks: list[int], digits: int, odd_linear: bool) -> list[dict]:
     return rows
 
 
-def _bounds_csv(rows: list[dict]) -> str:
-    lines = [BOUNDS_CSV_HEADER]
+def _bounds_fields(r: dict) -> list:
+    """The BOUNDS_CSV_HEADER columns of one row, None where a value is absent."""
+    return [
+        r["k"],
+        r["top"].value,
+        r["floor"].value if r["floor"] else None,
+        r["top_minus_one"],
+        r["marked"] or None,
+        r["witness"],
+    ]
+
+
+def _bounds_text(rows: list[dict], sep: str, absent: str) -> str:
+    lines = [BOUNDS_CSV_HEADER.replace(",", sep)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["k"]),
-                    r["top"].value,
-                    r["floor"].value if r["floor"] else "",
-                    r["top_minus_one"],
-                    r["marked"],
-                    "" if r["witness"] is None else str(r["witness"]),
-                ]
-            )
-        )
+        lines.append(sep.join(absent if f is None else str(f) for f in _bounds_fields(r)))
     return "\n".join(lines) + "\n"
+
+
+def _bounds_csv(rows: list[dict]) -> str:
+    return _bounds_text(rows, ",", "")
 
 
 def _bounds_svg(rows: list[dict]) -> str:
@@ -415,43 +406,18 @@ def _bounds_svg(rows: list[dict]) -> str:
 
 
 def cmd_bounds(args) -> int:
-    fmt = _check_format(args, ("table", "json", "csv", "svg"))
     if args.digits < 1:
         raise ValueError("digits must be >= 1")
     rows = _bounds_rows(args.k, args.digits, args.odd_linear)
-    if fmt == "svg":
+    if args.format == "svg":
         _emit(_bounds_svg(rows), args.out)
-    elif fmt == "json":
-        payload = [
-            {
-                "k": r["k"],
-                "max_fixed_point": r["top"].value,
-                "band_floor": r["floor"].value if r["floor"] else None,
-                "max_fixed_point_minus_1": r["top_minus_one"],
-                "marked": r["marked"] or None,
-                "witness_j": r["witness"],
-            }
-            for r in rows
-        ]
-        _emit(_dump(payload), args.out)
-    elif fmt == "csv":
+    elif args.format == "json":
+        header = BOUNDS_CSV_HEADER.split(",")
+        _emit(_dump([dict(zip(header, _bounds_fields(r))) for r in rows]), args.out)
+    elif args.format == "csv":
         _emit(_bounds_csv(rows), args.out)
     else:
-        lines = [BOUNDS_CSV_HEADER.replace(",", "  ")]
-        for r in rows:
-            lines.append(
-                "  ".join(
-                    [
-                        str(r["k"]),
-                        r["top"].value,
-                        r["floor"].value if r["floor"] else "-",
-                        r["top_minus_one"],
-                        r["marked"] or "-",
-                        "-" if r["witness"] is None else str(r["witness"]),
-                    ]
-                )
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_bounds_text(rows, "  ", "-"), args.out)
     return 0
 
 
@@ -462,8 +428,20 @@ def _scan_csv_row(summary) -> str:
     )
 
 
+def _cut_csv(path: Path, done: int) -> bool:
+    """Cut a CSV being resumed back to its header and the complete rows at or
+    below done, the last checkpointed modulus; False if no header is left."""
+    keep = 0
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh):
+            if not line.endswith(b"\n") or (n and int(line.split(b",", 1)[0]) > done):
+                break
+            keep += len(line)
+    os.truncate(path, keep)
+    return keep > 0
+
+
 def cmd_modscan(args) -> int:
-    _check_format(args, ("csv",))
     the_map = _build_map(args.family, args.params)
     if args.stride < 1:
         raise ValueError("stride must be >= 1")
@@ -472,7 +450,8 @@ def cmd_modscan(args) -> int:
     resume = False
     if args.checkpoint is not None and args.checkpoint.exists() and args.checkpoint.stat().st_size:
         done = read_checkpoint(args.checkpoint, the_map)  # may raise CheckpointError
-        resume = done is not None and args.out is not None and args.out.exists()
+        if done is not None and args.out is not None and args.out.exists():
+            resume = _cut_csv(args.out, done)
         if done is not None and not resume:
             args.checkpoint.unlink()  # checkpoint without a CSV to extend: restart
     rows = max_cycle_scan(
@@ -493,7 +472,6 @@ def cmd_modscan(args) -> int:
 
 
 def cmd_latticecheck(args) -> int:
-    fmt = _check_format(args, ("table", "json"))
     poly = RationalPoly(args.coeffs)
     cert = lattice_check(poly)  # ValueError for degree < 2 -> usage error
     orbit: list[Fraction] = []
@@ -505,7 +483,7 @@ def cmd_latticecheck(args) -> int:
             x = poly(x)
             orbit.append(x)
         anomaly = any(v.denominator != 1 or v.numerator % cert.step for v in orbit)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "coefficients": [str(c) for c in poly.coeffs],
             "step": cert.step,
@@ -538,10 +516,9 @@ def cmd_latticecheck(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    fmt = _check_format(args, ("table", "json"))
     the_map = QuadMap(args.a, args.b, args.c)
     con = conjugacy_of_quad(the_map)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "map": _map_payload(the_map),
             "scale": str(con.scale),
@@ -571,35 +548,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact classification and verification of periodic integer orbits.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("table", "json", "csv", "svg"), default=None
-    )
     common.add_argument("--out", type=Path, default=None)
     common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--cap", type=int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="classify one map")
+    def command(name, handler, summary, formats=("table", "json")):
+        # the first format is the default
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("classify", cmd_classify, "classify one map")
     p.add_argument("family", choices=("power", "quad"))
     p.add_argument("params", nargs="+", type=int)
-    p.set_defaults(handler=cmd_classify, default_format="table")
 
-    p = sub.add_parser("orbit", parents=[common], help="trace one seed")
+    p = command("orbit", cmd_orbit, "trace one seed")
     p.add_argument("family", choices=("power", "quad"))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=cmd_orbit, default_format="table")
+    p.add_argument("--cap", type=int, default=None)
 
-    p = sub.add_parser("oracle", parents=[common], help="cross-check grids")
+    p = command("oracle", cmd_oracle, "cross-check grids")
     p.add_argument("family", choices=("power", "quad"))
     p.add_argument("--m", type=_grid, default=None)
     p.add_argument("--k", type=_grid, default=None)
     p.add_argument("--a", type=_grid, default=None)
     p.add_argument("--b", type=_grid, default=None)
     p.add_argument("--c", type=_grid, default=None)
-    p.set_defaults(handler=cmd_oracle, default_format="table")
 
-    p = sub.add_parser("bounds", parents=[common], help="landmark curves")
+    p = command("bounds", cmd_bounds, "landmark curves", ("table", "json", "csv", "svg"))
     p.add_argument("--k", type=_grid, required=True)
     p.add_argument("--digits", type=int, default=3)
     p.add_argument(
@@ -608,27 +586,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the family x^2 - (k - 1/4), the normal form of quadratics "
         "with odd linear coefficient; marks k = j^2 and k = j^2 + 1",
     )
-    p.set_defaults(handler=cmd_bounds, default_format="table")
 
-    p = sub.add_parser("modscan", parents=[common], help="cycle survey over Z_M")
+    p = command("modscan", cmd_modscan, "cycle survey over Z_M", ("csv",))
     p.add_argument("family", choices=("power", "quad"))
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--M", type=_grid, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.set_defaults(handler=cmd_modscan, default_format="csv")
 
-    p = sub.add_parser(
-        "latticecheck", parents=[common], help="lattice stability of a rational polynomial"
-    )
+    p = command("latticecheck", cmd_latticecheck, "lattice stability of a rational polynomial")
     p.add_argument("coeffs", nargs="+", type=_rational, help="constant term first")
-    p.set_defaults(handler=cmd_latticecheck, default_format="table")
 
-    p = sub.add_parser("conjugate", parents=[common], help="normal form of a quadratic")
+    p = command("conjugate", cmd_conjugate, "normal form of a quadratic")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
-    p.set_defaults(handler=cmd_conjugate, default_format="table")
 
     return parser
 
@@ -639,14 +611,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.handler(args)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

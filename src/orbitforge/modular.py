@@ -13,6 +13,16 @@ them.  functional_graph measures that shape with three linear passes:
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
+
+ordered_map is the one place that spreads work over worker processes (the
+oracle grids and max_cycle_scan both use it); results come back in input
+order whatever the number of workers.
+
+max_cycle_scan appends a checkpoint line for a modulus only after its
+consumer has taken the row, so a consumer that writes and flushes each row
+before asking for the next one never has a checkpointed modulus missing
+from its output.  A last line without its newline is an interrupted write:
+read_checkpoint ignores it and max_cycle_scan cuts it off before appending.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +47,7 @@ __all__ = [
     "naive_graph_oracle",
     "max_cycle_scan",
     "map_params",
+    "ordered_map",
     "read_checkpoint",
 ]
 
@@ -196,12 +207,13 @@ def read_checkpoint(path, the_map) -> int | None:
 
     Line format: the map parameters, then modulus, max cycle length and
     cycle count, all space-separated integers.  Any malformed line or a
-    parameter mismatch raises CheckpointError.
+    parameter mismatch raises CheckpointError; a last line without its
+    newline is an interrupted write and is ignored.
     """
     params = map_params(the_map)
     width = len(params) + 3
     last = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text().split("\n")[:-1], start=1):
         if not line.strip():
             continue
         try:
@@ -222,6 +234,13 @@ def read_checkpoint(path, the_map) -> int | None:
     return last
 
 
+def _cut_torn_line(path) -> None:
+    """Truncate a file after its last newline, dropping an interrupted write."""
+    data = Path(path).read_bytes()
+    if not data.endswith(b"\n"):
+        os.truncate(path, data.rfind(b"\n") + 1)
+
+
 def _checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) -> str:
     fields = (*params, summary.modulus, summary.max_cycle_length, summary.cycle_count)
     return " ".join(str(f) for f in fields) + "\n"
@@ -231,6 +250,20 @@ def _scan_one(the_map, modulus: int) -> ScanRow:
     started = time.perf_counter()
     summary = functional_graph(the_map, modulus)
     return ScanRow(modulus, map_params(the_map), summary, time.perf_counter() - started)
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+    """Yield fn(item) for each item, in input order.
+
+    With more than one worker and more than one item, a process pool does
+    the calls (fn and the items must pickle); otherwise they run here.
+    """
+    if workers > 1 and len(items) > 1:
+        chunk = max(1, len(items) // (workers * 8))
+        with multiprocessing.Pool(workers) as pool:
+            yield from pool.imap(fn, items, chunksize=chunk)
+    else:
+        yield from map(fn, items)
 
 
 def max_cycle_scan(
@@ -243,9 +276,10 @@ def max_cycle_scan(
     """Yield one ScanRow per modulus, in ascending modulus order.
 
     With a checkpoint file, moduli at or below the last recorded one are
-    skipped and each fresh completion is appended, so an interrupted scan
-    resumes where it stopped.  Worker processes split the moduli; results
-    are still yielded (and checkpointed) in order.
+    skipped and each completion is appended once the consumer asks for the
+    next row, so an interrupted scan resumes where it stopped.  Worker
+    processes split the moduli; results are still yielded (and
+    checkpointed) in order.
     """
     moduli = sorted(set(moduli))
     if any(m < 2 for m in moduli):
@@ -253,28 +287,18 @@ def max_cycle_scan(
     done = None
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = read_checkpoint(checkpoint_path, the_map)
+        _cut_torn_line(checkpoint_path)
     todo = [m for m in moduli if done is None or m > done]
     if not todo:
         return
     params = map_params(the_map)
     sink = open(checkpoint_path, "a", encoding="ascii") if checkpoint_path else None
-    work = partial(_scan_one, the_map)
     try:
-        if workers > 1 and len(todo) > 1:
-            chunk = max(1, len(todo) // (workers * 8))
-            with multiprocessing.Pool(workers) as pool:
-                for row in pool.imap(work, todo, chunksize=chunk):
-                    if sink:
-                        sink.write(_checkpoint_line(params, row.summary))
-                        sink.flush()
-                    yield row
-        else:
-            for modulus in todo:
-                row = work(modulus)
-                if sink:
-                    sink.write(_checkpoint_line(params, row.summary))
-                    sink.flush()
-                yield row
+        for row in ordered_map(partial(_scan_one, the_map), todo, workers):
+            yield row
+            if sink:
+                sink.write(_checkpoint_line(params, row.summary))
+                sink.flush()
     finally:
         if sink:
             sink.close()

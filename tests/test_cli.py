@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+import orbitforge.cli as cli_module
+import orbitforge.modular as modular_module
 import orbitforge.oracle as oracle_module
 from orbitforge.cli import (
     BOUNDS_CSV_HEADER,
@@ -76,6 +78,7 @@ def test_classify_usage_errors(capsys):
     assert main(["classify", "power", "2"]) == 2  # missing shift
     assert main(["classify", "quad", "0", "1", "2"]) == 2  # zero leading coeff
     assert main(["classify", "power", "2", "7", "--format", "csv"]) == 2
+    assert main(["classify", "power", "2", "6", "--cap", "5"]) == 2  # orbit only
     assert main(["classify", "power", "0", "7"]) == 2  # degree < 1
     assert main([]) == 2
     assert main(["nonsense"]) == 2
@@ -278,6 +281,8 @@ def test_bounds_usage_errors():
     assert main(["bounds", "--k", "2..5", "--digits", "0"]) == 2
     assert main(["bounds", "--k=-3..5"]) == 2  # negative shift
     assert main(["bounds", "--k", "abc"]) == 2
+    # the benchmark passes --workers to every subcommand, bounds included
+    assert main(["bounds", "--k", "2..5", "--workers", "2", "--format", "csv"]) == 0
 
 
 # ====================================================================
@@ -321,6 +326,79 @@ def test_modscan_resume_is_byte_identical(tmp_path):
     assert full.read_bytes() == part.read_bytes()
 
 
+class Interrupted(Exception):
+    """Stands for a kill between two writes of a scan."""
+
+
+FAULT_SCAN = ["modscan", "power", "2", "1", "--M", "2..40"]
+FAULT_ROWS = 39
+
+
+def _scan(out, ck) -> int:
+    return main(FAULT_SCAN + ["--out", str(out), "--checkpoint", str(ck)])
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_scan(tmp_path_factory):
+    d = tmp_path_factory.mktemp("full")
+    assert _scan(d / "scan.csv", d / "scan.ck") == 0
+    return (d / "scan.csv").read_bytes(), (d / "scan.ck").read_bytes()
+
+
+def _stopped_scan(monkeypatch, tmp_path, after: str, row: int):
+    """CSV and checkpoint paths of a scan killed right after it wrote the
+    row-th CSV row (after="csv") or the row-th checkpoint line ("checkpoint").
+
+    Row n is written between the n-th calls of cli._scan_csv_row and
+    modular._checkpoint_line, and its checkpoint line after the latter.
+    """
+    out, ck = tmp_path / "scan.csv", tmp_path / "scan.ck"
+    module, name, stop = {
+        "csv": (modular_module, "_checkpoint_line", row),
+        "checkpoint": (cli_module, "_scan_csv_row", row + 1),
+    }[after]
+    if stop > FAULT_ROWS:  # the last checkpoint line ends the scan
+        assert _scan(out, ck) == 0
+        return out, ck
+    real, calls = getattr(module, name), []
+
+    def interrupt(*args):
+        calls.append(args)
+        if len(calls) == stop:
+            raise Interrupted
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, name, interrupt)
+        with pytest.raises(Interrupted):
+            _scan(out, ck)
+    return out, ck
+
+
+@pytest.mark.parametrize("row", range(1, FAULT_ROWS + 1))
+@pytest.mark.parametrize("after", ["csv", "checkpoint"])
+def test_modscan_resume_after_interrupt(monkeypatch, tmp_path, uninterrupted_scan, after, row):
+    out, ck = _stopped_scan(monkeypatch, tmp_path, after, row)
+    assert _scan(out, ck) == 0
+    assert (out.read_bytes(), ck.read_bytes()) == uninterrupted_scan
+
+
+# A torn write leaves the written file's last line cut short of its newline;
+# tearing the first checkpoint line leaves nothing but that prefix.
+@pytest.mark.parametrize("row", [1, 29, FAULT_ROWS])
+@pytest.mark.parametrize("torn", ["csv", "checkpoint"])
+def test_modscan_resume_after_torn_line(monkeypatch, tmp_path, uninterrupted_scan, torn, row):
+    out, ck = _stopped_scan(monkeypatch, tmp_path, torn, row)
+    target = out if torn == "csv" else ck
+    state = {out: out.read_bytes(), ck: ck.read_bytes()}
+    whole = state[target]
+    for cut in range(whole.rstrip(b"\n").rfind(b"\n") + 1, len(whole)):
+        for path, data in state.items():
+            path.write_bytes(whole[:cut] if path is target else data)
+        assert _scan(out, ck) == 0
+        assert (out.read_bytes(), ck.read_bytes()) == uninterrupted_scan
+
+
 def test_modscan_checkpoint_without_csv_restarts(tmp_path, capsys):
     ck = tmp_path / "ck.txt"
     out = tmp_path / "rows.csv"
@@ -358,6 +436,51 @@ def test_modscan_usage_errors():
 
 
 # ====================================================================
+# golden bytes of every subcommand
+# ====================================================================
+
+# SHA-256 of stdout, recorded before the subcommands declared their own
+# options and before the oracle and modscan loops shared one worker map
+CLI_SHA256 = {
+    "classify power 2 7 --format table": "efbedc5e957ba479b874b2f96c155ac986d747c562baa0d1370fc4724d5f1f74",
+    "classify power 2 7 --format json": "54a07346f523c155cbfd60bbf82bea3e5aee6a8ad5716c89cabbba825bb2107d",
+    "classify quad 1 1 -2 --format table": "637d53c3116f1f690d612bdc81ff394ce2e24474043ca21894987a955eab7886",
+    "classify quad 1 1 -2 --format json": "26e9c8d2e8955c7d8c62f496ade326f65489bd9c70632dc5436cf68b8f077315",
+    "orbit power 2 2 --seed 0 --format table": "5aa10425980d7ecd526fb1613602fbc0f0f9ae667a24a95b9876fb6db8851222",
+    "orbit power 2 2 --seed 0 --format json": "e498cee2bc22a6caacf24a607197019e9a384b0ee93e15f5c91ffc5af91d0f19",
+    "orbit power 4 2 --seed 0 --format table": "3fe3e75a2ba61d90d22863e4da3cbee0a9d2eac96f44c75ed5627ca9d2096989",
+    "orbit power 4 2 --seed 0 --format json": "87ff6a6254e776f4505299c9cef41053b738748d2ec5abd276794c9bde32b32d",
+    "orbit power 2 7 --seed 2 --cap 1 --format table": "46513e88d88e40d82447a8ce1ce3918d5131a09c04e1b04f6b7d30edad7bdfd5",
+    "orbit power 2 7 --seed 2 --cap 1 --format json": "b4161eb949e6388b08ccda3a2b4637e641800bd7b85216b1961239f54ba2cb8d",
+    "oracle power --m 2,3 --k=-5..20 --format table --workers 1": "9ac772cfacdf7f385f0f2897100c2dc13ad7d69e7af477955b37724b4f22f3e1",
+    "oracle power --m 2,3 --k=-5..20 --format table --workers 2": "9ac772cfacdf7f385f0f2897100c2dc13ad7d69e7af477955b37724b4f22f3e1",
+    "oracle power --m 2,3 --k=-5..20 --format json --workers 1": "b678e97577f699f3a2c97c460536e816f82655b3dc085f2f9701298122ef5928",
+    "oracle power --m 2,3 --k=-5..20 --format json --workers 2": "b678e97577f699f3a2c97c460536e816f82655b3dc085f2f9701298122ef5928",
+    "oracle quad --a=-1..1 --b=-2..2 --c=-4..4 --format table --workers 1": "33aacbe0ca35f5ec40643dc16113f75f693d033e9045557d838dab78610bae90",
+    "oracle quad --a=-1..1 --b=-2..2 --c=-4..4 --format table --workers 2": "33aacbe0ca35f5ec40643dc16113f75f693d033e9045557d838dab78610bae90",
+    "oracle quad --a=-1..1 --b=-2..2 --c=-4..4 --format json --workers 1": "8cf15a031cf543febd20115b334ee20801aacd21d816a11362f409bb890ebe87",
+    "oracle quad --a=-1..1 --b=-2..2 --c=-4..4 --format json --workers 2": "8cf15a031cf543febd20115b334ee20801aacd21d816a11362f409bb890ebe87",
+    "modscan power 2 1 --M 2..60": "c25195f0938f9ea9e51f90ff05daf5b8d92a6b589908f93ad846ba3a24f455d0",
+    "modscan quad 1 1 -2 --M 2..60 --stride 3 --workers 2": "5e94432017b321d8d6ab3a47f7d69484492a81c6b072f10a0f5d89232062d687",
+    "latticecheck 2 1 1/2 --format table": "78256b6e16f01b276f423908b05369114a96135095c70d7427c801d997eec8e2",
+    "latticecheck 2 1 1/2 --format json": "1905edccc54abb5d2940cc0715fe37564f35f277ab9fc438bfe7942c16a3fb9a",
+    "latticecheck 1 1 1/2 --format table": "cd93dd2b66057d3d5544200cd639d2179b76d7ed598f62c693a70595e910e322",
+    "latticecheck 1 1 1/2 --format json": "91c69f0242d7df62243a6e0f6d1f527bcfc29790d14344de6c8c5d8af53ac0ec",
+    "conjugate 1 1 -2 --format table": "e51a4f5311c9b389958846a6f3d6a81c711e796d3e1e36ef78f444ab05990844",
+    "conjugate 1 1 -2 --format json": "8d623b8698f163e25c16e198cf241e1efb1e779d9cd667183f5596cd8585f09a",
+    "conjugate 2 3 -5 --format table": "0946f7d331b3cb8af9ec1ec73d08f88cc046bf35f7ce7d44fdcd6d9145c2cfdb",
+    "conjugate 2 3 -5 --format json": "c02d221e2ee2663b2fa176db6ba1e7e4581bf51b358b44883d5f07d9ae9b7773",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SHA256))
+def test_cli_golden_bytes(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == CLI_SHA256[command]
+
+
+# ====================================================================
 # latticecheck and conjugate
 # ====================================================================
 
@@ -389,6 +512,7 @@ def test_latticecheck_json(capsys):
 def test_latticecheck_usage_errors():
     assert main(["latticecheck", "1", "2"]) == 2  # degree < 2
     assert main(["latticecheck", "2", "1", "x/2"]) == 2  # bad literal
+    assert main(["latticecheck", "2", "1", "1/2", "--format", "csv"]) == 2
 
 
 def test_conjugate(capsys):
@@ -398,6 +522,7 @@ def test_conjugate(capsys):
     assert main(["conjugate", "1", "1", "-2"]) == 0
     assert "normal form: x^2 - (7/4)" in capsys.readouterr().out
     assert main(["conjugate", "0", "1", "2"]) == 2
+    assert main(["conjugate", "1", "1", "-2", "--format", "svg"]) == 2
 
 
 # ====================================================================
