@@ -10,12 +10,16 @@ degree 2 (and the single {-1, 0} orbit at shift 1 in higher even degree):
 * even degree >= 4 admits integer fixed points only, plus the 2-cycle
   {-1, 0} at k = 1.
 
-General integer quadratics a*x**2 + b*x + c reduce by the affine change
-r = a*s + b/2 to x -> x**2 - q with q = b*(b-2)/4 - a*c, so their integral
-cycles are the integral pull-backs of the normal form's rational cycles:
-pronic conditions on q for even b, perfect-square conditions on
-((b-1)/2)**2 - a*c for odd b.  Candidates produced by those conditions are
-always re-verified by substitution before being reported.
+One discriminant rule decides every integer quadratic a*x**2 + b*x + c
+(degree 2 above is the case a = 1, b = 0, c = -k).  With
+D = (b-1)**2 - 4*a*c, a rational fixed point needs D = r**2, giving the
+points (1 - b +- r)/(2a); a rational 2-cycle needs D - 4 = t**2 with t > 0,
+giving (-1 - b +- t)/(2a); the two never hold together, and no integer
+quadratic has an integral cycle of higher period.  The witness is j = r // 2 (or t // 2):
+for even b, q = b*(b-2)/4 - a*c is j*(j+1) ("pronic") or j*(j+1) + 1
+("pronic_plus_one"); for odd b, ((b-1)/2)**2 - a*c is j**2 ("square") or
+j**2 + 1 ("square_plus_one").  Only the integral points are reported, each
+re-verified by substitution.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .kernel import (
     iroot,
     max_fixed_point_floor,
     max_fixed_point_floor_q,
-    perfect_square_root,
     rational_square_root,
 )
 from .maps import PowerMap, QuadMap
@@ -113,25 +116,41 @@ class OrbitClassification:
     condition: str | None = None
 
 
+def _rational_cycle(a: int, b: int, c: int) -> tuple[int, int, str, tuple[int, ...]] | None:
+    """Rational fixed points or 2-cycle of x -> a*x**2 + b*x + c, by discriminant.
+
+    With D = (b-1)**2 - 4*a*c, the fixed points (1 - b +- r)/(2a) are rational
+    exactly when D = r**2; otherwise the 2-cycle (-1 - b +- t)/(2a), the roots
+    of a**2*x**2 + a*(b+1)*x + (a*c + b + 1) with discriminant a**2*(D - 4),
+    is rational exactly when D - 4 = t**2 with t > 0.  Both cannot hold, since
+    r**2 - t**2 = 4 forces t = 0.  Returns (period, j, condition, roots) with
+    j = r // 2 (or t // 2), the condition named by the parity of b, and only
+    the roots that are integers; None when neither holds.
+    """
+    disc = (b - 1) ** 2 - 4 * a * c
+    r = math.isqrt(disc) if disc >= 0 else -1
+    if r * r == disc:
+        period, root, top = 1, r, 1 - b
+    else:
+        t = math.isqrt(disc - 4) if disc > 4 else 0
+        if t * t != disc - 4:  # t > 0 here: disc = 4 is a square
+            return None
+        period, root, top = 2, t, -1 - b
+    roots = tuple(n // (2 * a) for n in (top + root, top - root) if n % (2 * a) == 0)
+    names = ("pronic", "pronic_plus_one") if b % 2 == 0 else ("square", "square_plus_one")
+    return period, root // 2, names[period - 1], roots
+
+
 def solve_pronic(n: int) -> tuple[int, str] | None:
     """Recognize n = j*(j+1) or n = j*(j+1) + 1 with j >= 0.
 
     Returns (j, "pronic") or (j, "pronic_plus_one"); None otherwise.  The two
     families are disjoint, and j >= 0 covers all integer solutions because
-    j and -(j+1) give the same product.
+    j and -(j+1) give the same product.  This is the discriminant rule for
+    x -> x**2 - n.
     """
-    if n < 0:
-        return None
-    j = (math.isqrt(4 * n + 1) - 1) // 2
-    for cand in (j - 1, j, j + 1):
-        if cand < 0:
-            continue
-        p = cand * (cand + 1)
-        if p == n:
-            return cand, "pronic"
-        if p + 1 == n:
-            return cand, "pronic_plus_one"
-    return None
+    hit = _rational_cycle(1, 0, -n)
+    return None if hit is None else (hit[1], hit[2])
 
 
 # ====================================================================
@@ -177,10 +196,6 @@ def power_fixed_points(power: PowerMap) -> list[int]:
     return sorted(found)
 
 
-def _verified_fixed(the_map, candidates) -> tuple[int, ...]:
-    return tuple(sorted({int(p) for p in candidates if the_map(int(p)) == int(p)}))
-
-
 def _verified_two_cycle(the_map, p: int, s: int) -> tuple[Cycle, ...]:
     if p != s and the_map(p) == s and the_map(s) == p:
         return (Cycle.from_points([p, s]),)
@@ -195,15 +210,7 @@ def classify_power(power: PowerMap) -> OrbitClassification:
             return OrbitClassification((), (), (), ALL_FIXED)
         return OrbitClassification((), (), (), DIVERGES_UP if k < 0 else DIVERGES_DOWN)
     if m == 2:
-        hit = solve_pronic(k)
-        if hit is None:
-            return OrbitClassification((), (), (), DIVERGES_UP)
-        j, kind = hit
-        if kind == "pronic":
-            fixed = _verified_fixed(power, (j + 1, -j))
-            return OrbitClassification(fixed, (), (), DIVERGES_UP, j, kind)
-        cyc = _verified_two_cycle(power, j, -(j + 1))
-        return OrbitClassification((), cyc, (), DIVERGES_UP, j, kind)
+        return classify_quad(QuadMap(1, 0, -k))
     fixed = tuple(power_fixed_points(power))
     behavior = DIVERGES_SPLIT if m % 2 else DIVERGES_UP
     if m % 2 == 0 and k == 1:
@@ -217,68 +224,24 @@ def classify_power(power: PowerMap) -> OrbitClassification:
 # ====================================================================
 
 
-def _integral(cands) -> list[int]:
-    return [int(c) for c in cands if Fraction(c).denominator == 1]
-
-
 def classify_quad(quad: QuadMap) -> OrbitClassification:
     """Exact periodic-orbit answer for a*x**2 + b*x + c.
 
-    Candidates come from the normal-form conditions; only integral
-    candidates that survive substitution are reported.  A rational fixed
-    point of the quadratic needs 1 + 4q to be a rational square, which for
-    even b forces q pronic and for odd b forces ((b-1)/2)**2 - a*c to be a
-    perfect square; 2-cycles live at the successor parameter in each family.
-    Divergent seeds follow the sign of the leading coefficient.
+    The discriminant rule (_rational_cycle) names the rational fixed points
+    or the rational 2-cycle; only their integral points that survive substitution are
+    reported, and a 2-cycle needs both.  Divergent seeds follow the sign of
+    the leading coefficient.
     """
-    a, b, c = quad.a, quad.b, quad.c
-    behavior = DIVERGES_UP if a > 0 else DIVERGES_DOWN
-    if b % 2 == 0:
-        half = b // 2
-        q = half * (half - 1) - a * c  # == b*(b-2)/4 - a*c, exactly
-        hit = solve_pronic(q)
-        if hit is None:
-            return OrbitClassification((), (), (), behavior)
-        j, kind = hit
-        if kind == "pronic":
-            cands = (
-                Fraction(j, a) - Fraction(b - 2, 2 * a),
-                Fraction(-j, a) - Fraction(b, 2 * a),
-            )
-            return OrbitClassification(
-                _verified_fixed(quad, _integral(cands)), (), (), behavior, j, kind
-            )
-        lead, follow = (
-            Fraction(j, a) - Fraction(b, 2 * a),
-            Fraction(-j, a) - Fraction(b + 2, 2 * a),
-        )
-        cyc = ()
-        if lead.denominator == 1 and follow.denominator == 1:
-            cyc = _verified_two_cycle(quad, int(lead), int(follow))
-        return OrbitClassification((), cyc, (), behavior, j, kind)
-    half = (b - 1) // 2
-    n = half * half - a * c  # == ((b-1)/2)**2 - a*c
-    j = perfect_square_root(n)
-    if j is not None:
-        cands = (
-            Fraction(j, a) - Fraction(b - 1, 2 * a),
-            Fraction(-j, a) - Fraction(b - 1, 2 * a),
-        )
-        return OrbitClassification(
-            _verified_fixed(quad, _integral(cands)), (), (), behavior, j, "square"
-        )
-    j = perfect_square_root(n - 1)
-    if j is not None:
-        # j >= 1 here: n - 1 == 0 would mean n == 1, caught above as a square
-        lead, follow = (
-            Fraction(-j, a) - Fraction(b + 1, 2 * a),
-            Fraction(j, a) - Fraction(b + 1, 2 * a),
-        )
-        cyc = ()
-        if lead.denominator == 1 and follow.denominator == 1:
-            cyc = _verified_two_cycle(quad, int(lead), int(follow))
-        return OrbitClassification((), cyc, (), behavior, j, "square_plus_one")
-    return OrbitClassification((), (), (), behavior)
+    behavior = DIVERGES_UP if quad.a > 0 else DIVERGES_DOWN
+    hit = _rational_cycle(quad.a, quad.b, quad.c)
+    if hit is None:
+        return OrbitClassification((), (), (), behavior)
+    period, j, condition, roots = hit
+    if period == 1:
+        fixed = tuple(sorted({p for p in roots if quad(p) == p}))
+        return OrbitClassification(fixed, (), (), behavior, j, condition)
+    cyc = _verified_two_cycle(quad, *roots) if len(roots) == 2 else ()
+    return OrbitClassification((), cyc, (), behavior, j, condition)
 
 
 # ====================================================================
@@ -430,18 +393,9 @@ def power_bounds(m: int, k: int, digits: int = 6) -> BoundsProfile:
     in_band = tuple(band_integers(m, k)) if k >= 2 else ()
     top_approx = approx_max_fixed_point(m, k, digits)
     floor_approx = approx_band_floor(m, k, digits) if k >= 2 else None
-    fixed = power_fixed_points(PowerMap(m, k))
-    fixed_pair = None
-    if len(fixed) == 2:
-        fixed_pair = (Fraction(fixed[0]), Fraction(fixed[1]))
-    cycle_pair = None
-    if m == 2:
-        hit = solve_pronic(k)
-        if hit is not None and hit[1] == "pronic_plus_one":
-            j = hit[0]
-            cycle_pair = (Fraction(-(j + 1)), Fraction(j))
-    elif k == 1:
-        cycle_pair = (Fraction(-1), Fraction(0))
+    cls = classify_power(PowerMap(m, k))
+    fixed_pair = tuple(map(Fraction, cls.fixed_points)) if len(cls.fixed_points) == 2 else None
+    cycle_pair = tuple(map(Fraction, cls.two_cycles[0].points)) if cls.two_cycles else None
     return BoundsProfile(
         "power", (m, k), top_floor, in_band, top_approx, floor_approx,
         fixed_pair, cycle_pair,

@@ -37,11 +37,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .classify import (
-    classify_power,
-    classify_quad,
-    solve_pronic,
-)
+from .classify import classify_power, classify_quad
 from .kernel import (
     DecimalApprox,
     approx_band_floor,
@@ -50,7 +46,6 @@ from .kernel import (
     approx_max_fixed_point_q,
     band_floor_is_real_q,
     format_decimal,
-    perfect_square_root,
 )
 from .maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check, parse_rational
 from .modular import CheckpointError, max_cycle_scan, ordered_map, read_checkpoint
@@ -293,28 +288,22 @@ def _bounds_rows(ks: list[int], digits: int, odd_linear: bool) -> list[dict]:
             q = Fraction(k) - Fraction(1, 4)
             top = approx_max_fixed_point_q(q, digits)
             floor = approx_band_floor_q(q, digits) if band_floor_is_real_q(q) else None
-            if perfect_square_root(k) is not None:
-                marked, witness = "square", perfect_square_root(k)
-            elif perfect_square_root(k - 1) is not None:
-                marked, witness = "square_plus_one", perfect_square_root(k - 1)
-            else:
-                marked, witness = "", None
         else:
             if k == 0:
                 top = DecimalApprox("1." + "0" * digits, digits, Fraction(0))
             else:
                 top = approx_max_fixed_point(2, k, digits)
             floor = approx_band_floor(2, k, digits) if k >= 2 else None
-            hit = solve_pronic(k)
-            marked, witness = (hit[1], hit[0]) if hit else ("", None)
+        # b = 1 is the quadratic whose normal form is x**2 - (k - 1/4)
+        cls = classify_quad(QuadMap(1, 1 if odd_linear else 0, -k))
         rows.append(
             {
                 "k": k,
                 "top": top,
                 "floor": floor,
                 "top_minus_one": _decimal_minus_one(top),
-                "marked": marked,
-                "witness": witness,
+                "marked": cls.condition or "",
+                "witness": cls.witness,
             }
         )
     return rows
@@ -446,7 +435,11 @@ def cmd_modscan(args) -> int:
     if args.stride < 1:
         raise ValueError("stride must be >= 1")
     moduli = sorted(set(args.M))[:: args.stride]
-    workers = _resolve_workers(args)
+    # refuses bad moduli before any file is touched; reads the checkpoint
+    # only when the first row is asked for, after the handling below
+    rows = max_cycle_scan(
+        the_map, moduli, workers=_resolve_workers(args), checkpoint_path=args.checkpoint
+    )
     resume = False
     if args.checkpoint is not None and args.checkpoint.exists() and args.checkpoint.stat().st_size:
         done = read_checkpoint(args.checkpoint, the_map)  # may raise CheckpointError
@@ -454,9 +447,6 @@ def cmd_modscan(args) -> int:
             resume = _cut_csv(args.out, done)
         if done is not None and not resume:
             args.checkpoint.unlink()  # checkpoint without a CSV to extend: restart
-    rows = max_cycle_scan(
-        the_map, moduli, workers=workers, checkpoint_path=args.checkpoint
-    )
     if args.out is None:
         sys.stdout.write(MODSCAN_CSV_HEADER + "\n")
         for row in rows:

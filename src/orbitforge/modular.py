@@ -273,17 +273,22 @@ def max_cycle_scan(
     workers: int = 1,
     checkpoint_path: str | os.PathLike | None = None,
 ) -> Iterator[ScanRow]:
-    """Yield one ScanRow per modulus, in ascending modulus order.
+    """Iterate one ScanRow per modulus, in ascending modulus order.
 
-    With a checkpoint file, moduli at or below the last recorded one are
-    skipped and each completion is appended once the consumer asks for the
-    next row, so an interrupted scan resumes where it stopped.  Worker
-    processes split the moduli; results are still yielded (and
-    checkpointed) in order.
+    Moduli below 2 are refused by this call itself, before any row is asked
+    for; the checkpoint is read when the first row is.  With a checkpoint
+    file, moduli at or below the last recorded one are skipped and each
+    completion is appended once the consumer asks for the next row, so an
+    interrupted scan resumes where it stopped.  Worker processes split the
+    moduli; results are still yielded (and checkpointed) in order.
     """
     moduli = sorted(set(moduli))
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
+    return _scan(the_map, moduli, workers, checkpoint_path)
+
+
+def _scan(the_map, moduli: list[int], workers: int, checkpoint_path) -> Iterator[ScanRow]:
     done = None
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         done = read_checkpoint(checkpoint_path, the_map)

@@ -1,5 +1,6 @@
 """Classifier: complete periodic-orbit answers and band arithmetic."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,59 @@ def test_quad_cycles_push_to_normal_form_cycles(a, b, c):
     for cyc in got.two_cycles:
         p, s = (con.push(x) for x in cyc.points)
         assert con.normal_step(p) == s and con.normal_step(s) == p
+
+
+@settings(max_examples=300)
+@given(
+    a=st.integers(-10**3, 10**3).filter(lambda n: n != 0),
+    b=st.integers(-10**9, 10**9),
+    p=st.integers(-10**9, 10**9),
+    s=st.integers(-10**9, 10**9),
+    cycle=st.booleans(),
+)
+def test_classify_quad_finds_planted_cycles(a, b, p, s, cycle):
+    # plant the fixed point p, or the 2-cycle p -> s -> p (a fixed point when
+    # p == s), far outside the grids the oracle can check
+    if cycle:
+        b = -1 - a * (p + s)
+        c = s - a * p * p - b * p
+    else:
+        c = p - a * p * p - b * p
+    got = classify_quad(QuadMap(a, b, c))
+    two_cycle = cycle and p != s
+    if two_cycle:
+        assert got.two_cycles == (Cycle.from_points([p, s]),)
+    else:
+        assert p in got.fixed_points
+    # the witness satisfies the identity its condition names
+    j, plus = got.witness, got.condition.endswith("_plus_one")
+    assert j >= 0 and plus == two_cycle
+    if b % 2 == 0:
+        assert got.condition in ("pronic", "pronic_plus_one")
+        assert b * (b - 2) // 4 - a * c == j * (j + 1) + plus
+    else:
+        assert got.condition in ("square", "square_plus_one")
+        assert ((b - 1) // 2) ** 2 - a * c == j * j + plus
+
+
+# SHA-256 of the reprs of every classification in the two grids below,
+# recorded before the quadratic classifier moved onto one discriminant rule;
+# it pins witness and condition, which the oracle cross-check never compares
+CLASSIFICATION_SHA256 = "a5ce269539b62652dcd2737cb6b29002a0d1d397ab0a3f7e58295508d6b9bac9"
+
+
+def test_classification_golden_digest():
+    digest = hashlib.sha256()
+    for a in range(-6, 7):
+        if a == 0:
+            continue
+        for b in range(-12, 13):
+            for c in range(-150, 151):
+                digest.update(repr(classify_quad(QuadMap(a, b, c))).encode())
+    for m in range(1, 9):
+        for k in range(-300, 3001):
+            digest.update(repr(classify_power(PowerMap(m, k))).encode())
+    assert digest.hexdigest() == CLASSIFICATION_SHA256
 
 
 # ====================================================================

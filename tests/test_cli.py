@@ -429,10 +429,26 @@ def test_modscan_checkpoint_failures(tmp_path, capsys):
     assert rc == 3
 
 
-def test_modscan_usage_errors():
+def test_modscan_usage_errors(tmp_path, capsys):
     assert main(["modscan", "power", "2", "1", "--M", "2..5", "--stride", "0"]) == 2
     assert main(["modscan", "power", "2", "1", "--M", "2..5", "--format", "json"]) == 2
     assert main(["modscan", "power", "2", "1", "--M", "1..3"]) == 2  # modulus < 2
+    # a refused modulus touches neither earlier output nor stdout
+    out, ck, new = tmp_path / "scan.csv", tmp_path / "ck", tmp_path / "new.csv"
+    scan = ["modscan", "power", "2", "1", "--out", str(out), "--checkpoint", str(ck)]
+    assert main(scan + ["--M", "2..5"]) == 0
+    before = (out.read_bytes(), ck.read_bytes())
+    capsys.readouterr()
+    for grid, files in (
+        ("0..5", []),
+        ("0..5", ["--out", str(out)]),
+        ("0..5", ["--out", str(out), "--checkpoint", str(ck)]),
+        ("1..20", ["--out", str(new), "--checkpoint", str(ck)]),
+    ):
+        assert main(["modscan", "power", "2", "1", "--M", grid, *files]) == 2
+        assert capsys.readouterr().out == ""
+        assert (out.read_bytes(), ck.read_bytes()) == before
+        assert not new.exists()
 
 
 # ====================================================================
