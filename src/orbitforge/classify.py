@@ -20,6 +20,10 @@ for even b, q = b*(b-2)/4 - a*c is j*(j+1) ("pronic") or j*(j+1) + 1
 ("pronic_plus_one"); for odd b, ((b-1)/2)**2 - a*c is j**2 ("square") or
 j**2 + 1 ("square_plus_one").  Only the integral points are reported, each
 re-verified by substitution.
+
+The band accounting below is for the integer family x**m - k alone.  The
+rational family x**2 - q that the reduction reaches lives in the kernel
+(its q-predicates and certified decimals) and in the CLI's bounds table.
 """
 
 from __future__ import annotations
@@ -30,28 +34,20 @@ from fractions import Fraction
 from typing import Iterable
 
 from .kernel import (
-    DecimalApprox,
     Side,
     approx_band_floor,
-    approx_band_floor_q,
     approx_max_fixed_point,
-    approx_max_fixed_point_q,
-    band_floor_is_real_q,
     compare_to_band_floor,
-    compare_to_band_floor_q,
     compare_to_max_fixed_point,
     frac_side_of_max_fixed_point,
     iroot,
     max_fixed_point_floor,
-    max_fixed_point_floor_q,
-    rational_square_root,
 )
 from .maps import PowerMap, QuadMap
 
 __all__ = [
     "Cycle",
     "OrbitClassification",
-    "BoundsProfile",
     "GapReport",
     "DIVERGES_UP",
     "DIVERGES_DOWN",
@@ -65,8 +61,6 @@ __all__ = [
     "band_gap_checks",
     "band_width_decimal",
     "band_width_exceeds_one",
-    "power_bounds",
-    "translation_bounds",
 ]
 
 # non-periodic seed behavior tags
@@ -249,35 +243,29 @@ def classify_quad(quad: QuadMap) -> OrbitClassification:
 # ====================================================================
 
 
-def _band_range(top: int, side_of) -> range:
-    """Integers n in [0, top] at or above the band floor, by binary search on
-    the monotone side_of(n); top is the floor of the max fixed point.
-    """
-    if side_of(top) is Side.BELOW:
-        return range(0)
-    lo, hi = 0, top  # least n >= floor; invariant: hi is at or above the floor
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if side_of(mid) is Side.BELOW:
-            lo = mid + 1
-        else:
-            hi = mid
-    return range(lo, top + 1)
-
-
 def band_integers(m: int, k: int) -> list[int]:
     """All integers n >= 0 with band floor <= n <= max fixed point.
 
     Decided purely by the exact side predicates.  The answer is a contiguous
-    range, so both endpoints are found by binary search on the (monotone)
-    predicates.  Requires even degree and k >= 2.
+    range up to the floor of the max fixed point; its least element is found
+    by binary search on the (monotone) band-floor predicate.  Requires even
+    degree and k >= 2.
     """
     if m < 2 or m % 2:
         raise ValueError("the band is defined for even degree")
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
     top = max_fixed_point_floor(m, k)
-    return list(_band_range(top, lambda n: compare_to_band_floor(n, m, k)))
+    if compare_to_band_floor(top, m, k) is Side.BELOW:
+        return []
+    lo, hi = 0, top  # least n >= floor; invariant: hi is at or above the floor
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if compare_to_band_floor(mid, m, k) is Side.BELOW:
+            lo = mid + 1
+        else:
+            hi = mid
+    return list(range(lo, top + 1))
 
 
 @dataclass(frozen=True)
@@ -344,87 +332,3 @@ def band_width_exceeds_one(k: int) -> bool:
         if frac_side_of_max_fixed_point(r + unit, 2, k, unit=unit) is Side.BELOW:
             return True
     return False
-
-
-# ====================================================================
-# bounds profiles (report/plot support)
-# ====================================================================
-
-
-@dataclass(frozen=True)
-class BoundsProfile:
-    """Landmark summary for one parameter of a family.
-
-    fixed_pair is the exact (smaller, larger) fixed-point pair when both are
-    rational; cycle_pair is the exact rational 2-cycle when one exists.
-    Approximations are certified decimals; band data is None/() when the
-    band floor is not real.
-    """
-
-    family: str
-    params: tuple
-    top_floor: int
-    in_band: tuple[int, ...]
-    top_approx: DecimalApprox
-    band_floor_approx: DecimalApprox | None
-    fixed_pair: tuple[Fraction, Fraction] | None
-    cycle_pair: tuple[Fraction, Fraction] | None
-
-
-def power_bounds(m: int, k: int, digits: int = 6) -> BoundsProfile:
-    """Landmark profile for x -> x**m - k, even degree, k >= 0."""
-    if m < 2 or m % 2:
-        raise ValueError("bounds profiles cover even degree")
-    if k < 0:
-        raise ValueError("no real fixed points for negative shift")
-    if k == 0:
-        # fix == 1 exactly; the band floor is not real below k = 2
-        return BoundsProfile(
-            "power",
-            (m, k),
-            1,
-            (),
-            DecimalApprox("1." + "0" * digits, digits, Fraction(0)),
-            None,
-            (Fraction(0), Fraction(1)),
-            None,
-        )
-    top_floor = max_fixed_point_floor(m, k)
-    in_band = tuple(band_integers(m, k)) if k >= 2 else ()
-    top_approx = approx_max_fixed_point(m, k, digits)
-    floor_approx = approx_band_floor(m, k, digits) if k >= 2 else None
-    cls = classify_power(PowerMap(m, k))
-    fixed_pair = tuple(map(Fraction, cls.fixed_points)) if len(cls.fixed_points) == 2 else None
-    cycle_pair = tuple(map(Fraction, cls.two_cycles[0].points)) if cls.two_cycles else None
-    return BoundsProfile(
-        "power", (m, k), top_floor, in_band, top_approx, floor_approx,
-        fixed_pair, cycle_pair,
-    )
-
-
-def translation_bounds(q: Fraction, digits: int = 6) -> BoundsProfile:
-    """Landmark profile for the rational family x -> x**2 - q."""
-    q = Fraction(q)
-    top_floor = max_fixed_point_floor_q(q)
-    has_floor = band_floor_is_real_q(q)
-    in_band: tuple[int, ...] = ()
-    if has_floor:
-        in_band = tuple(_band_range(top_floor, lambda n: compare_to_band_floor_q(n, q)))
-    fixed_pair = None
-    root = rational_square_root(1 + 4 * q)
-    if root is not None:
-        fixed_pair = ((1 - root) / 2, (1 + root) / 2)
-    cycle_pair = None
-    root = rational_square_root(4 * q - 3)
-    if root is not None and root > 0:  # root 0 degenerates to a fixed point
-        cycle_pair = ((-1 - root) / 2, (-1 + root) / 2)
-    return BoundsProfile(
-        "translation",
-        (q,),
-        top_floor,
-        in_band,
-        approx_max_fixed_point_q(q, digits),
-        approx_band_floor_q(q, digits) if has_floor else None,
-        fixed_pair,
-        cycle_pair,
-    )

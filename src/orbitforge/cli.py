@@ -18,14 +18,15 @@ with exit 2.  --format lists exactly the formats a subcommand renders, the
 first being the default: bounds takes table, json, csv or svg, modscan only
 csv, every other subcommand table or json.  --cap belongs to orbit alone.
 Every subcommand takes --out (write there instead of stdout) and --workers
-(processes for oracle and modscan; default: the ORBITFORGE_WORKERS
-environment variable, else 1).
+(processes for oracle and modscan; default 1).
 
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
 
 A resumed modscan (same --out and --checkpoint) cuts its CSV back to the rows
-the checkpoint covers, so it ends with the bytes of an uninterrupted run.
+the checkpoint covers, so it ends with the bytes of an uninterrupted run.  A
+CSV that no interrupted run of that scan could have left is refused (exit 3)
+before either file changes.
 """
 
 from __future__ import annotations
@@ -99,13 +100,10 @@ def _build_map(family: str, params: list[int]):
     return QuadMap(params[0], params[1], params[2])
 
 
-def _resolve_workers(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("ORBITFORGE_WORKERS", "1"))
-    if workers < 1:
+def _workers(args) -> int:
+    if args.workers < 1:
         raise ValueError("workers must be >= 1")
-    return workers
+    return args.workers
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -258,7 +256,7 @@ def cmd_oracle(args) -> int:
             raise ValueError("grid contains no valid quadratics")
     disagreements: list[tuple[str, str]] = []
     lines: list[str] = []
-    for label, agree, diff in ordered_map(_oracle_task, maps, _resolve_workers(args)):
+    for label, agree, diff in ordered_map(_oracle_task, maps, _workers(args)):
         if not agree:
             disagreements.append((label, diff))
         if args.format == "table":
@@ -419,15 +417,35 @@ def _scan_csv_row(summary) -> str:
 
 def _cut_csv(path: Path, done: int) -> bool:
     """Cut a CSV being resumed back to its header and the complete rows at or
-    below done, the last checkpointed modulus; False if no header is left."""
-    keep = 0
+    below done, the last checkpointed modulus.
+
+    False (restart) when the file is empty or holds a torn header.  Any CSV
+    that an interrupted run of this scan cannot leave (another header, a bad
+    modulus, rows that end short of done) raises CheckpointError before
+    either file is changed: a row is flushed before its checkpoint line.
+    """
+    header = MODSCAN_CSV_HEADER.encode() + b"\n"
     with open(path, "rb") as fh:
-        for n, line in enumerate(fh):
-            if not line.endswith(b"\n") or (n and int(line.split(b",", 1)[0]) > done):
+        first = fh.readline()
+        if header.startswith(first) and first != header:
+            return False
+        if first != header:
+            raise CheckpointError(f"{path} is not a modscan CSV")
+        keep, last = len(header), None
+        for line in fh:
+            if not line.endswith(b"\n"):
                 break
-            keep += len(line)
+            try:
+                modulus = int(line.split(b",", 1)[0])
+            except ValueError:
+                raise CheckpointError(f"{path}: bad modulus in row {line!r}") from None
+            if modulus > done:
+                break
+            keep, last = keep + len(line), modulus
+    if last != done:
+        raise CheckpointError(f"{path} ends at modulus {last}, the checkpoint at {done}")
     os.truncate(path, keep)
-    return keep > 0
+    return True
 
 
 def cmd_modscan(args) -> int:
@@ -438,7 +456,7 @@ def cmd_modscan(args) -> int:
     # refuses bad moduli before any file is touched; reads the checkpoint
     # only when the first row is asked for, after the handling below
     rows = max_cycle_scan(
-        the_map, moduli, workers=_resolve_workers(args), checkpoint_path=args.checkpoint
+        the_map, moduli, workers=_workers(args), checkpoint_path=args.checkpoint
     )
     resume = False
     if args.checkpoint is not None and args.checkpoint.exists() and args.checkpoint.stat().st_size:
@@ -539,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=None)
-    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, formats=("table", "json")):

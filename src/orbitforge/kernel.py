@@ -34,8 +34,6 @@ __all__ = [
     "Side",
     "DecimalApprox",
     "iroot",
-    "perfect_square_root",
-    "rational_square_root",
     "compare_to_max_fixed_point",
     "compare_to_band_floor",
     "frac_side_of_max_fixed_point",
@@ -88,31 +86,6 @@ def iroot(n: int, m: int) -> int:
     while (r + 1) ** m <= n:
         r += 1
     return r
-
-
-def perfect_square_root(n: int) -> int | None:
-    """r >= 0 with r*r == n, or None when n is negative or not a square."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def rational_square_root(x: Fraction) -> Fraction | None:
-    """Exact nonnegative square root of a rational, or None if not a square.
-
-    A canonical fraction is a square iff numerator and denominator both are.
-    """
-    x = Fraction(x)
-    if x < 0:
-        return None
-    num = perfect_square_root(x.numerator)
-    if num is None:
-        return None
-    den = perfect_square_root(x.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
 
 
 # ====================================================================

@@ -19,10 +19,8 @@ from orbitforge.classify import (
     band_width_exceeds_one,
     classify_power,
     classify_quad,
-    power_bounds,
     power_fixed_points,
     solve_pronic,
-    translation_bounds,
 )
 from orbitforge.kernel import Side, compare_to_band_floor, max_fixed_point_floor
 from orbitforge.maps import PowerMap, QuadMap, conjugacy_of_quad
@@ -120,6 +118,7 @@ def test_classify_power_degree_two_examples():
     assert (got.witness, got.condition) == (0, "pronic_plus_one")
 
     assert classify_power(PowerMap(2, 0)).fixed_points == (0, 1)
+    assert classify_power(PowerMap(2, 2)).fixed_points == (-1, 2)
     assert classify_power(PowerMap(2, -3)).fixed_points == ()
 
 
@@ -201,6 +200,8 @@ def test_classify_quad_worked_examples():
     got = classify_quad(QuadMap(1, 1, -2))
     assert got.two_cycles == (Cycle(2, (-2, 0)),)
     assert got.fixed_points == ()
+    got = classify_quad(QuadMap(1, 1, -5))
+    assert got.two_cycles == (Cycle(2, (-3, 1)),)
 
     assert classify_quad(QuadMap(1, 0, -6)).fixed_points == (-2, 3)
     assert classify_quad(QuadMap(2, 3, -5)).fixed_points == ()
@@ -217,8 +218,10 @@ def test_classify_quad_worked_examples():
     got = classify_quad(QuadMap(-2, 2, 1))
     assert got.fixed_points == (1,)
 
+    # D - 4 = 0: the degenerate 2-cycle is the fixed point -1
     got = classify_quad(QuadMap(1, 1, -1))
     assert got.fixed_points == (-1, 1)
+    assert got.two_cycles == ()
 
 
 def test_classify_quad_parametrized_families():
@@ -354,65 +357,3 @@ def test_band_width_exceeds_one_samples():
         assert band_width_exceeds_one(k)
     with pytest.raises(ValueError):
         band_width_exceeds_one(1)
-
-
-# ====================================================================
-# bounds profiles
-# ====================================================================
-
-
-def test_power_bounds_profiles():
-    prof = power_bounds(2, 6)
-    assert prof.top_floor == 3
-    assert prof.in_band == (2, 3)
-    assert prof.fixed_pair == (Fraction(-2), Fraction(3))
-    assert prof.cycle_pair is None
-    assert prof.top_approx.value == "3.000000"
-
-    prof = power_bounds(2, 7)
-    assert prof.fixed_pair is None
-    assert prof.cycle_pair == (Fraction(-3), Fraction(2))
-
-    prof = power_bounds(4, 1)
-    assert prof.cycle_pair == (Fraction(-1), Fraction(0))
-
-    prof = power_bounds(2, 0)
-    assert prof.top_floor == 1 and prof.fixed_pair == (0, 1)
-    assert prof.top_approx.error_bound == 0
-
-    with pytest.raises(ValueError):
-        power_bounds(3, 5)
-    with pytest.raises(ValueError):
-        power_bounds(2, -1)
-
-
-def test_translation_bounds_profiles():
-    prof = translation_bounds(Fraction(7, 4))
-    assert prof.fixed_pair is None
-    assert prof.cycle_pair == (Fraction(-3, 2), Fraction(1, 2))
-    assert prof.band_floor_approx is None
-
-    prof = translation_bounds(Fraction(19, 4))
-    assert prof.cycle_pair == (Fraction(-5, 2), Fraction(3, 2))
-    assert prof.band_floor_approx is not None
-
-    prof = translation_bounds(Fraction(3, 4))
-    assert prof.fixed_pair == (Fraction(-1, 2), Fraction(3, 2))
-    assert prof.cycle_pair is None  # the degenerate pair is the fixed point
-
-    prof = translation_bounds(Fraction(2))
-    assert prof.fixed_pair == (Fraction(-1), Fraction(2))
-    assert prof.in_band == (0, 1, 2)
-
-
-@given(
-    q=st.fractions(min_value=Fraction(2), max_value=Fraction(10**4), max_denominator=4)
-)
-def test_translation_cycle_pair_is_a_cycle(q):
-    prof = translation_bounds(q, digits=3)
-    if prof.cycle_pair is not None:
-        p, s = prof.cycle_pair
-        assert p * p - q == s and s * s - q == p and p != s
-    if prof.fixed_pair is not None:
-        for f in prof.fixed_pair:
-            assert f * f - q == f

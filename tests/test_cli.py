@@ -164,12 +164,6 @@ def test_oracle_quad_grid(capsys):
     assert "all agree" in capsys.readouterr().out
 
 
-def test_oracle_env_worker_default(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITFORGE_WORKERS", "2")
-    assert main(["oracle", "power", "--m", "2", "--k", "1..20", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["checked"] == 20
-
-
 def test_oracle_usage_errors():
     assert main(["oracle", "power", "--m", "2"]) == 2  # missing --k
     assert main(["oracle", "power", "--m", "0..1", "--k", "1"]) == 2
@@ -402,19 +396,42 @@ def test_modscan_resume_after_torn_line(monkeypatch, tmp_path, uninterrupted_sca
 def test_modscan_checkpoint_without_csv_restarts(tmp_path, capsys):
     ck = tmp_path / "ck.txt"
     out = tmp_path / "rows.csv"
-    assert main(["modscan", "power", "2", "1", "--M", "2..10", "--checkpoint", str(ck)]) == 0
+    scan = ["modscan", "power", "2", "1", "--M", "2..10", "--checkpoint", str(ck)]
+    # the checkpoint covers 2..10 but no CSV rows exist to extend (no file,
+    # an empty one, a torn header): start fresh
+    for csv in (None, "", MODSCAN_CSV_HEADER[:9]):
+        assert main(scan) == 0
+        capsys.readouterr()
+        if csv is not None:
+            out.write_text(csv)
+        assert main(scan + ["--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == MODSCAN_CSV_HEADER
+        assert len(lines) == 10
+
+
+# none of these is left by an interrupted scan: a row is flushed before its
+# checkpoint line is written
+@pytest.mark.parametrize(
+    "csv",
+    [
+        "k,max_fixed_point\n2,1.000\n",
+        MODSCAN_CSV_HEADER + "\n",
+        MODSCAN_CSV_HEADER + "\n2,1,2,2,0\nthree,2,1,2,1\n",
+    ],
+    ids=["other_header", "rows_missing", "bad_modulus"],
+)
+def test_modscan_resume_refuses_foreign_csv(tmp_path, capsys, csv):
+    out, ck = tmp_path / "scan.csv", tmp_path / "scan.ck"
+    files = ["--out", str(out), "--checkpoint", str(ck)]
+    assert main(["modscan", "power", "2", "1", "--M", "2..10", *files]) == 0
+    out.write_text(csv)
+    before = (out.read_bytes(), ck.read_bytes())
     capsys.readouterr()
-    # the checkpoint covers 2..10 but no CSV exists to extend: start fresh
-    assert (
-        main(
-            ["modscan", "power", "2", "1", "--M", "2..10",
-             "--out", str(out), "--checkpoint", str(ck)]
-        )
-        == 0
-    )
-    lines = out.read_text().splitlines()
-    assert lines[0] == MODSCAN_CSV_HEADER
-    assert len(lines) == 10
+    assert main(["modscan", "power", "2", "1", "--M", "2..20", *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert (out.read_bytes(), ck.read_bytes()) == before
 
 
 def test_modscan_checkpoint_failures(tmp_path, capsys):

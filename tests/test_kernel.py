@@ -1,6 +1,5 @@
 """Exact-arithmetic primitives: integer roots, side predicates, decimals."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -25,8 +24,6 @@ from orbitforge.kernel import (
     iroot,
     max_fixed_point_floor,
     max_fixed_point_floor_q,
-    perfect_square_root,
-    rational_square_root,
 )
 
 rationals = st.fractions(
@@ -58,32 +55,6 @@ def test_iroot_brackets_the_root(n, m):
     assert r**m <= n < (r + 1) ** m
 
 
-@given(r=st.integers(min_value=0, max_value=10**15))
-def test_perfect_square_root_round_trip(r):
-    assert perfect_square_root(r * r) == r
-
-
-@given(n=st.integers(min_value=-100, max_value=10**12))
-def test_perfect_square_root_is_exact(n):
-    root = perfect_square_root(n)
-    if root is None:
-        assert n < 0 or math.isqrt(max(n, 0)) ** 2 != n
-    else:
-        assert root * root == n
-
-
-@given(x=rationals)
-def test_rational_square_root_round_trip(x):
-    assert rational_square_root(x * x) == abs(x)
-
-
-def test_rational_square_root_rejects_non_squares():
-    assert rational_square_root(Fraction(2)) is None
-    assert rational_square_root(Fraction(4, 3)) is None
-    assert rational_square_root(Fraction(-1)) is None
-    assert rational_square_root(Fraction(9, 16)) == Fraction(3, 4)
-
-
 # ====================================================================
 # integer-family side predicates
 # ====================================================================
@@ -95,6 +66,7 @@ def test_compare_to_max_fixed_point_examples():
     assert compare_to_max_fixed_point(3, 2, 3) is Side.ABOVE
     # shift 6 puts it exactly at 3
     assert compare_to_max_fixed_point(3, 2, 6) is Side.EQUAL
+    assert max_fixed_point_floor(2, 6) == 3
     assert compare_to_max_fixed_point(1, 4, 1) is Side.BELOW
 
 
