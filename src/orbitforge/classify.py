@@ -152,22 +152,13 @@ def solve_pronic(n: int) -> tuple[int, str] | None:
 # ====================================================================
 
 
-def _monotone_solve(g, lo: int, hi: int, target: int) -> int | None:
-    """j in [lo, hi] with g(j) == target, for strictly increasing g."""
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = g(mid)
-        if v == target:
-            return mid
-        if v < target:
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return None
-
-
 def power_fixed_points(power: PowerMap) -> list[int]:
-    """All integers j with j**m - j == shift, by search on monotone branches.
+    """All integers j with j**m - j == shift, verified by substitution.
+
+    Beyond {-1, 0, 1} one candidate per sign is exact, with r = iroot(|k|, m):
+    a root j >= 2 has (j-1)**m < k < j**m, so j = r + 1; a root -t with
+    t >= 2 has t**m < k < (t+1)**m for even m, so t = r, and
+    (t-1)**m < -k < t**m for odd m, so t = r + 1.
 
     Degree 1 returns [] always: x - k == x has no solution for k != 0, and
     for k == 0 every integer is fixed (callers tag that case ALL_FIXED
@@ -176,18 +167,9 @@ def power_fixed_points(power: PowerMap) -> list[int]:
     m, k = power.degree, power.shift
     if m == 1:
         return []
-    found = {j for j in (-1, 0, 1) if j**m - j == k}
-    hi = iroot(max(abs(k), 1), m) + 2
-    cand = _monotone_solve(lambda j: j**m - j, 2, hi, k)
-    if cand is not None:
-        found.add(cand)
-    if m % 2 == 0:
-        cand = _monotone_solve(lambda t: t**m + t, 2, hi, k)
-    else:
-        cand = _monotone_solve(lambda t: t**m - t, 2, hi, -k)
-    if cand is not None:
-        found.add(-cand)
-    return sorted(found)
+    r = iroot(abs(k), m)
+    candidates = {-1, 0, 1, r + 1, -r if m % 2 == 0 else -r - 1}
+    return sorted(j for j in candidates if j**m - j == k)
 
 
 def _verified_two_cycle(the_map, p: int, s: int) -> tuple[Cycle, ...]:

@@ -17,8 +17,10 @@ Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2.  --format lists exactly the formats a subcommand renders, the
 first being the default: bounds takes table, json, csv or svg, modscan only
 csv, every other subcommand table or json.  --cap belongs to orbit alone.
-Every subcommand takes --out (write there instead of stdout) and --workers
-(processes for oracle and modscan; default 1).
+Every subcommand takes --out (write there instead of stdout).  --workers
+(processes; default 1) belongs to oracle and modscan, which read it, and to
+bounds, which accepts and ignores it because perfbench passes it to every
+subcommand it runs.
 
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
@@ -557,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", type=Path, default=None)
-    common.add_argument("--workers", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, summary, formats=("table", "json")):
@@ -584,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_grid, default=None)
     p.add_argument("--b", type=_grid, default=None)
     p.add_argument("--c", type=_grid, default=None)
+    p.add_argument("--workers", type=int, default=1)
 
     p = command("bounds", cmd_bounds, "landmark curves", ("table", "json", "csv", "svg"))
     p.add_argument("--k", type=_grid, required=True)
@@ -594,6 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the family x^2 - (k - 1/4), the normal form of quadratics "
         "with odd linear coefficient; marks k = j^2 and k = j^2 + 1",
     )
+    p.add_argument("--workers", type=int, default=1)
 
     p = command("modscan", cmd_modscan, "cycle survey over Z_M", ("csv",))
     p.add_argument("family", choices=("power", "quad"))
@@ -601,6 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_grid, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--checkpoint", type=Path, default=None)
+    p.add_argument("--workers", type=int, default=1)
 
     p = command("latticecheck", cmd_latticecheck, "lattice stability of a rational polynomial")
     p.add_argument("coeffs", nargs="+", type=_rational, help="constant term first")

@@ -13,7 +13,6 @@ __all__ = [
     "Conjugacy",
     "LatticeCert",
     "conjugacy_of_quad",
-    "vertex_conjugacy",
     "lattice_check",
     "parse_rational",
 ]
@@ -112,21 +111,6 @@ def conjugacy_of_quad(quad: QuadMap) -> Conjugacy:
     a, b, c = quad.a, quad.b, quad.c
     q = Fraction(b * (b - 2), 4) - a * c
     return Conjugacy(scale=Fraction(a), offset=Fraction(b, 2), q=q)
-
-
-def vertex_conjugacy(a1, b1, c1, a2, b2, c2) -> tuple[Fraction, Fraction] | None:
-    """Affine h(x) = slope*x + intercept with h(f1(x)) == f2(h(x)), if any.
-
-    The maps are given in vertex form f_i(x) = a_i*(x + b_i)**2 + c_i.  Such
-    an h exists iff a1*(b1 + c1) == a2*(b2 + c2), and then
-    slope = a1/a2, intercept = (a1*b1 - a2*b2)/a2.
-    """
-    a1, b1, c1, a2, b2, c2 = map(Fraction, (a1, b1, c1, a2, b2, c2))
-    if a1 == 0 or a2 == 0:
-        raise ValueError("leading coefficients must be nonzero")
-    if a1 * (b1 + c1) != a2 * (b2 + c2):
-        return None
-    return a1 / a2, (a1 * b1 - a2 * b2) / a2
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,12 @@
 
 Iterating any map on Z_M yields a functional graph: every node has one
 out-edge, so the graph is a disjoint union of cycles with trees hanging off
-them.  functional_graph measures that shape with three linear passes:
-
-1. build the successor table (vectorized numpy below 2**31, where every
-   per-term product stays inside int64; exact big-int Python above);
-2. repeatedly peel in-degree-0 nodes; survivors are exactly the cycle
-   nodes, and walking them yields the cycle lengths;
-3. replay the peel order backwards to get each tail node's distance to its
-   cycle (a node is always peeled before its successor).
+them.  functional_graph builds the successor table (vectorized numpy below
+2**31, where every per-term product stays inside int64; exact big-int
+Python above), then walks it once from each unvisited node.  A walk that
+runs into its own path has closed a new cycle; either way the walk's nodes
+take their distance to a cycle from the node it stopped at, so every node
+is visited once.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -105,39 +103,33 @@ def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
     succ = _successor_list(the_map, modulus)
-    indeg = [0] * modulus
-    for y in succ:
-        indeg[y] += 1
-    # peel nodes nothing maps into; survivors are the cycle nodes
-    stack = [x for x in range(modulus) if indeg[x] == 0]
-    peel_order: list[int] = []
-    while stack:
-        x = stack.pop()
-        peel_order.append(x)
-        y = succ[x]
-        indeg[y] -= 1
-        if indeg[y] == 0:
-            stack.append(y)
+    # depth[x]: -1 unvisited, -2 on the current walk, else distance to a cycle
+    depth = [-1] * modulus
     cycle_lengths: list[int] = []
-    seen = bytearray(modulus)
-    for x in range(modulus):
-        if indeg[x] > 0 and not seen[x]:
-            length = 0
-            y = x
-            while not seen[y]:
-                seen[y] = 1
-                y = succ[y]
-                length += 1
-            cycle_lengths.append(length)
-    cycle_lengths.sort()
-    # distance to the cycle: successors are peeled later, so replay backwards
-    depth = [0] * modulus
     max_tail = 0
-    for x in reversed(peel_order):
-        d = depth[succ[x]] + 1
-        depth[x] = d
+    for start in range(modulus):
+        if depth[start] != -1:
+            continue
+        path = []
+        x = start
+        while depth[x] == -1:
+            depth[x] = -2
+            path.append(x)
+            x = succ[x]
+        d = depth[x]
+        if d == -2:  # the walk closed a new cycle at x
+            i = path.index(x)
+            cycle_lengths.append(len(path) - i)
+            for y in path[i:]:
+                depth[y] = 0
+            del path[i:]
+            d = 0
+        while path:
+            d += 1
+            depth[path.pop()] = d
         if d > max_tail:
             max_tail = d
+    cycle_lengths.sort()
     return FunctionalGraphSummary(
         modulus=modulus,
         node_count=modulus,

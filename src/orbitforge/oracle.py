@@ -8,7 +8,8 @@ window [-bound, bound]:
 * even degree, shift <= 0: the real fixed points (if any) sit in [-1, 1];
   the window {-1, 0, 1} is scanned anyway for safety;
 * odd degree: the map is monotone with every real fixed point inside
-  [-(iroot(|k|, m) + 2), iroot(|k|, m) + 2];
+  [-(iroot(|k|, m) + 2), iroot(|k|, m) + 2], except the identity (m = 1,
+  k = 0), which fixes every integer: its window only sizes the scan;
 * quadratics: pushing through r = a*s + b/2 turns the map into x**2 - q,
   whose periodic points all satisfy |r| <= larger fixed point, giving
   bound = ceil((1 + |b| + sqrt((b-1)**2 - 4ac)) / (2|a|)) exactly.
@@ -96,7 +97,8 @@ def iterate_with_escape(the_map, seed: int, cap: int) -> OrbitTrace:
 
     enters_cycle traces end at the first repeated value; the repeat index is
     the tail length.  escapes traces end at the first point outside the
-    window, with a certificate naming the bound.
+    window, with a certificate naming the bound.  A seed outside the window
+    that the map fixes does not escape: only the identity has one.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -116,7 +118,7 @@ def iterate_with_escape(the_map, seed: int, cap: int) -> OrbitTrace:
                 cycle=Cycle.from_points(points[start:-1]),
                 tail_length=start,
             )
-        if abs(x) > eb.bound:
+        if abs(x) > eb.bound and (step or the_map(x) != x):
             points.append(x)
             return OrbitTrace(
                 seed,

@@ -80,6 +80,9 @@ def test_classify_usage_errors(capsys):
     assert main(["classify", "power", "2", "7", "--format", "csv"]) == 2
     assert main(["classify", "power", "2", "6", "--cap", "5"]) == 2  # orbit only
     assert main(["classify", "power", "0", "7"]) == 2  # degree < 1
+    # --workers belongs to oracle, bounds and modscan
+    assert main(["classify", "power", "2", "6", "--workers", "2"]) == 2
+    assert main(["orbit", "power", "2", "6", "--seed", "1", "--workers", "2"]) == 2
     assert main([]) == 2
     assert main(["nonsense"]) == 2
 
@@ -122,6 +125,17 @@ def test_orbit_cycle_json(capsys):
     assert data["outcome"] == "enters_cycle"
     assert data["cycle"] == ["-4", "1"]
     assert data["tail_length"] == 0
+
+
+def test_orbit_identity_map_never_escapes(capsys):
+    assert main(["orbit", "power", "1", "0", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "trace: 5 -> 5\n" in out
+    assert "outcome: enters cycle (5) period=1 tail=0\n" in out
+    assert main(["orbit", "power", "1", "0", "--seed", "5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["outcome"], data["points"], data["cycle"]) == ("enters_cycle", ["5", "5"], ["5"])
+    assert data["certificate"] is None
 
 
 def test_orbit_cap_flag(capsys):
@@ -275,7 +289,7 @@ def test_bounds_usage_errors():
     assert main(["bounds", "--k", "2..5", "--digits", "0"]) == 2
     assert main(["bounds", "--k=-3..5"]) == 2  # negative shift
     assert main(["bounds", "--k", "abc"]) == 2
-    # the benchmark passes --workers to every subcommand, bounds included
+    # perfbench passes --workers to every subcommand it runs, bounds included
     assert main(["bounds", "--k", "2..5", "--workers", "2", "--format", "csv"]) == 0
 
 
@@ -546,6 +560,7 @@ def test_latticecheck_usage_errors():
     assert main(["latticecheck", "1", "2"]) == 2  # degree < 2
     assert main(["latticecheck", "2", "1", "x/2"]) == 2  # bad literal
     assert main(["latticecheck", "2", "1", "1/2", "--format", "csv"]) == 2
+    assert main(["latticecheck", "2", "1", "1/2", "--workers", "2"]) == 2
 
 
 def test_conjugate(capsys):
@@ -556,6 +571,7 @@ def test_conjugate(capsys):
     assert "normal form: x^2 - (7/4)" in capsys.readouterr().out
     assert main(["conjugate", "0", "1", "2"]) == 2
     assert main(["conjugate", "1", "1", "-2", "--format", "svg"]) == 2
+    assert main(["conjugate", "1", "1", "-2", "--workers", "2"]) == 2
 
 
 # ====================================================================

@@ -15,7 +15,6 @@ from orbitforge.maps import (
     conjugacy_of_quad,
     lattice_check,
     parse_rational,
-    vertex_conjugacy,
 )
 
 small_rationals = st.fractions(
@@ -118,49 +117,6 @@ def test_normal_step():
     con = Conjugacy(Fraction(1), Fraction(0), Fraction(2))
     assert con.normal_step(3) == 7
     assert con.normal_step(Fraction(1, 2)) == Fraction(-7, 4)
-
-
-# ====================================================================
-# affine conjugacy between two vertex-form quadratics
-# ====================================================================
-
-
-def _vertex(a, b, c):
-    def f(x):
-        return a * (x + b) ** 2 + c
-
-    return f
-
-
-@settings(max_examples=80)
-@given(
-    a1=nonzero_ints,
-    b1=st.integers(-10, 10),
-    c1=st.integers(-10, 10),
-    a2=nonzero_ints,
-    b2=st.integers(-10, 10),
-    x=small_rationals,
-)
-def test_vertex_conjugacy_commutes(a1, b1, c1, a2, b2, x):
-    # choose c2 to satisfy the matching condition a1*(b1+c1) == a2*(b2+c2)
-    c2 = Fraction(a1 * (b1 + c1), a2) - b2
-    got = vertex_conjugacy(a1, b1, c1, a2, b2, c2)
-    assert got is not None
-    slope, intercept = got
-    f1, f2 = _vertex(a1, b1, c1), _vertex(Fraction(a2), Fraction(b2), c2)
-    h = lambda t: slope * t + intercept  # noqa: E731
-    assert h(f1(x)) == f2(h(x))
-
-
-def test_vertex_conjugacy_none_when_mismatched():
-    # a1*(b1+c1) = 2, a2*(b2+c2) = 3: no affine conjugacy exists
-    assert vertex_conjugacy(1, 1, 1, 1, 1, 2) is None
-    with pytest.raises(ValueError):
-        vertex_conjugacy(0, 1, 1, 1, 1, 1)
-
-
-def test_vertex_conjugacy_identity():
-    assert vertex_conjugacy(1, 2, 3, 1, 2, 3) == (1, 0)
 
 
 # ====================================================================

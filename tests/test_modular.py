@@ -1,5 +1,7 @@
 """Functional graphs over Z_M: structure, oracle agreement, checkpoints."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,9 +45,11 @@ def test_functional_graph_rejects_small_modulus():
 
 def test_functional_graph_accepts_plain_callables():
     # a pure rotation is a single M-cycle with no tails
-    got = functional_graph(lambda x: x + 1, 17)
-    assert got.cycle_lengths == (17,)
-    assert got.max_tail_length == 0
+    rotate = lambda x: x + 1  # noqa: E731
+    for modulus in (17, 1500):
+        got = functional_graph(rotate, modulus)
+        assert got == naive_graph_oracle(rotate, modulus)
+        assert (got.cycle_lengths, got.max_tail_length) == ((modulus,), 0)
 
 
 def test_agreement_examples():
@@ -78,6 +82,34 @@ def test_fast_graph_matches_naive_oracle(the_map, modulus):
     assert fast.nodes_on_cycles == sum(fast.cycle_lengths) <= modulus
     assert fast.cycle_count >= 1
     assert fast.max_cycle_length == max(fast.cycle_lengths)
+
+
+def test_deep_tail_matches_naive_oracle():
+    # x -> x - 1 with 0 fixed: one path of depth M - 1 into a single loop
+    step_down = lambda x: x - 1 if x else 0  # noqa: E731
+    for modulus in (2, 3, 64, 1500):
+        got = functional_graph(step_down, modulus)
+        assert got == naive_graph_oracle(step_down, modulus)
+        assert (got.cycle_lengths, got.max_tail_length) == ((1,), modulus - 1)
+
+
+# SHA-256 over the reprs of these summaries, in map-major order
+GOLDEN_GRAPH_MAPS = (
+    PowerMap(2, 1), PowerMap(3, 2), PowerMap(2, 0), PowerMap(1, 0),
+    QuadMap(2, 1, 0), QuadMap(1, 1, -2), QuadMap(-3, 5, 7), QuadMap(4, 2, 0),
+)
+GOLDEN_GRAPH_MODULI = (
+    *range(2, 601), 10007, 10240, 11025, 12167, 14641, 15625, 16384, 16807, 19683, 30030,
+)
+GOLDEN_GRAPH_DIGEST = "6b97a5264d28f14434ec670fe0682d10d51d40d2e4e512f24c92acb74e2dca0f"
+
+
+def test_functional_graph_golden_digest():
+    digest = hashlib.sha256()
+    for the_map in GOLDEN_GRAPH_MAPS:
+        for modulus in GOLDEN_GRAPH_MODULI:
+            digest.update(repr(functional_graph(the_map, modulus)).encode())
+    assert digest.hexdigest() == GOLDEN_GRAPH_DIGEST
 
 
 def test_big_int_fallback_matches_vectorized_path(monkeypatch):

@@ -105,6 +105,17 @@ def test_trace_escapes():
     assert "max_fixed_point_floor" in trace.certificate
 
 
+def test_identity_seed_outside_window_is_fixed():
+    # x -> x**1 - 0 fixes every integer; its window radius 2 certifies nothing
+    for seed in (3, -3, 100, -100):
+        trace = iterate_with_escape(PowerMap(1, 0), seed, 12)
+        assert trace.outcome == "enters_cycle"
+        assert trace.points == (seed, seed)
+        assert trace.cycle == Cycle(1, (seed,))
+        assert trace.tail_length == 0
+        assert trace.certificate is None
+
+
 def test_trace_truncation_and_cap_validation():
     trace = iterate_with_escape(PowerMap(2, 7), 2, 1)
     assert trace.outcome == "truncated"
