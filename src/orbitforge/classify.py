@@ -37,8 +37,7 @@ from .kernel import (
     Side,
     approx_band_floor,
     approx_max_fixed_point,
-    compare_to_band_floor,
-    compare_to_max_fixed_point,
+    frac_side_of_band_floor,
     frac_side_of_max_fixed_point,
     iroot,
     max_fixed_point_floor,
@@ -230,23 +229,18 @@ def band_integers(m: int, k: int) -> list[int]:
 
     Decided purely by the exact side predicates.  The answer is a contiguous
     range up to the floor of the max fixed point; its least element is found
-    by binary search on the (monotone) band-floor predicate.  Requires even
-    degree and k >= 2.
+    by walking down from that top while the integer below is not below the
+    band floor (the band holds at most 3 integers).  Requires even degree
+    and k >= 2.
     """
     if m < 2 or m % 2:
         raise ValueError("the band is defined for even degree")
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
     top = max_fixed_point_floor(m, k)
-    if compare_to_band_floor(top, m, k) is Side.BELOW:
-        return []
-    lo, hi = 0, top  # least n >= floor; invariant: hi is at or above the floor
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_to_band_floor(mid, m, k) is Side.BELOW:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = top + 1
+    while lo > 0 and frac_side_of_band_floor(lo - 1, m, k) is not Side.BELOW:
+        lo -= 1
     return list(range(lo, top + 1))
 
 
@@ -279,9 +273,9 @@ def band_gap_checks(k_max: int) -> GapReport:
     for k in range(2, k_max + 1):
         top = max_fixed_point_floor(2, k)
         ok = (
-            compare_to_max_fixed_point(2, 2, k) is not Side.ABOVE
-            and compare_to_band_floor(top, 2, k) is not Side.BELOW
-            and compare_to_band_floor(max(top - 2, 0), 2, k) is not Side.ABOVE
+            frac_side_of_max_fixed_point(2, 2, k) is not Side.ABOVE
+            and frac_side_of_band_floor(top, 2, k) is not Side.BELOW
+            and frac_side_of_band_floor(max(top - 2, 0), 2, k) is not Side.ABOVE
             and 1 <= len(band_integers(2, k)) <= 3
         )
         if not ok:

@@ -18,9 +18,9 @@ with exit 2.  --format lists exactly the formats a subcommand renders, the
 first being the default: bounds takes table, json, csv or svg, modscan only
 csv, every other subcommand table or json.  --cap belongs to orbit alone.
 Every subcommand takes --out (write there instead of stdout).  --workers
-(processes; default 1) belongs to oracle and modscan, which read it, and to
-bounds, which accepts and ignores it because perfbench passes it to every
-subcommand it runs.
+(processes; default 1, refused below 1) belongs to oracle and modscan, which
+read it, and to bounds, which checks it the same way and then ignores it
+because perfbench passes it to every subcommand it runs.
 
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
@@ -397,6 +397,7 @@ def _bounds_svg(rows: list[dict]) -> str:
 def cmd_bounds(args) -> int:
     if args.digits < 1:
         raise ValueError("digits must be >= 1")
+    _workers(args)  # checked like oracle's and modscan's, then ignored
     rows = _bounds_rows(args.k, args.digits, args.odd_linear)
     if args.format == "svg":
         _emit(_bounds_svg(rows), args.out)

@@ -18,8 +18,10 @@ the sign of qd*(n**m - n*d**(m-1)) - qn*d**m (the power family is qd = 1,
 the q-family m = 2), and the band floor side is the reversed fixed-point
 side of q - x**m.  No floating point is used anywhere in a decision.
 
-Decimal output exists solely for plots and reports: it is produced by exact
-bisection on scaled integers (the test point mid / 10**digits, never a
+The integer floor of the fixed point (both families) is the integer root
+of floor(q) plus at most one step of that sign test.  Bisection remains
+only for decimal output, which exists solely for plots and reports: it
+bisects on scaled integers (the test point mid / 10**digits, never a
 Fraction) and carries a certified error bound.
 """
 
@@ -34,8 +36,6 @@ __all__ = [
     "Side",
     "DecimalApprox",
     "iroot",
-    "compare_to_max_fixed_point",
-    "compare_to_band_floor",
     "frac_side_of_max_fixed_point",
     "frac_side_of_band_floor",
     "max_fixed_point_floor",
@@ -117,20 +117,17 @@ def _floor_sign(n: int, d: int, m: int, qn: int, qd: int) -> int:
 
 
 def _fix_floor(m: int, qn: int, qd: int) -> int:
-    """Largest integer at or below the larger root of x**m - x - qn/qd; at
-    integers x >= 1 the sign test reads: x is above it iff qd*(x**m - x) > qn.
+    """Largest integer at or below the larger root of x**m - x - qn/qd.
+
+    The root r solves r**m = r + q, so q**(1/m) <= r <= q**(1/m) + 1 for
+    q >= 0 (and 1/2 <= r < 1 for q < 0): the integer root of floor(q) is at
+    most one step short.  At integers x >= 1 the sign test reads: x is
+    above the root iff qd*(x**m - x) > qn.
     """
-    hi = 1
-    while qd * (hi**m - hi) <= qn:
-        hi *= 2
-    lo = 0  # the root is >= 1/2 > 0; invariant: lo <= fix < hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if qd * (mid**m - mid) > qn:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    n = iroot(max(qn // qd, 0), m)
+    while qd * ((n + 1) ** m - (n + 1)) <= qn:
+        n += 1
+    return n
 
 
 _SIDES = (Side.EQUAL, Side.ABOVE, Side.BELOW)  # indexed by the sign 0, 1, -1
@@ -153,35 +150,17 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def compare_to_max_fixed_point(x: int, m: int, k: int) -> Side:
-    """Order an integer x >= 1 against the largest fixed point of x -> x**m - k.
+def frac_side_of_max_fixed_point(x: Fraction | int, m: int, k: int, *, unit=None) -> Side:
+    """Order a rational x (an int included) against the largest fixed point
+    of x -> x**m - k, m >= 2 and k >= 1.
 
-    The fixed point is the positive root of x**m - x - k; for k >= 1 it lies
-    above 1, where that form is strictly increasing, so its sign at x decides
-    the ordering.  x <= 0 is rejected: the form is not monotone there.
-    """
-    _check_family(m, k)
-    if x < 1:
-        raise ValueError("comparison is only monotone for x >= 1")
-    return _SIDES[_fix_sign(x, 1, m, k, 1)]
+    The fixed point is the positive root of x**m - x - k and lies above 1;
+    from 1/2 up that form is increasing, so its sign at x decides there.
+    Every x < 1/2, zero and the negatives included, is answered BELOW.
 
-
-def compare_to_band_floor(x: int, m: int, k: int) -> Side:
-    """Order an integer x >= 0 against the band floor (k - fix)**(1/m), real for k >= 2."""
-    if x < 0:
-        raise ValueError("band floor comparisons need x >= 0")
-    if k < 2:
-        raise ValueError("band floor is real only for k >= 2")
-    _check_family(m, k)
-    return _SIDES[_floor_sign(x, 1, m, k, 1)]
-
-
-def frac_side_of_max_fixed_point(x: Fraction, m: int, k: int, *, unit=None) -> Side:
-    """Rational-test-point version of compare_to_max_fixed_point.
-
-    With `unit`, the test point is the scaled integer x / unit and (m, k) are
-    taken as already checked: certified bisection calls it this way, so a
-    step builds no Fraction and repeats no check.
+    With `unit`, the test point is the scaled integer x / unit and (m, k)
+    are taken as already checked: certified bisection calls it this way, so
+    a step builds no Fraction and repeats no check.
     """
     if unit is None:
         _check_family(m, k)
@@ -189,8 +168,9 @@ def frac_side_of_max_fixed_point(x: Fraction, m: int, k: int, *, unit=None) -> S
     return _SIDES[_fix_sign(x, unit, m, k, 1)]
 
 
-def frac_side_of_band_floor(x: Fraction, m: int, k: int, *, unit=None) -> Side:
-    """Rational-test-point version of compare_to_band_floor.
+def frac_side_of_band_floor(x: Fraction | int, m: int, k: int, *, unit=None) -> Side:
+    """Order a rational x >= 0 (an int included) against the band floor
+    (k - fix)**(1/m) of x -> x**m - k, real for k >= 2.
 
     `unit` works as in frac_side_of_max_fixed_point.
     """

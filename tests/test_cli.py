@@ -291,6 +291,8 @@ def test_bounds_usage_errors():
     assert main(["bounds", "--k", "abc"]) == 2
     # perfbench passes --workers to every subcommand it runs, bounds included
     assert main(["bounds", "--k", "2..5", "--workers", "2", "--format", "csv"]) == 0
+    # ...and refuses a worker count below 1 as oracle and modscan do
+    assert main(["bounds", "--k", "2..3", "--workers", "0", "--format", "csv"]) == 2
 
 
 # ====================================================================

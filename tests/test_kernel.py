@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitforge.kernel import (
@@ -14,9 +14,7 @@ from orbitforge.kernel import (
     approx_max_fixed_point,
     approx_max_fixed_point_q,
     band_floor_is_real_q,
-    compare_to_band_floor,
     compare_to_band_floor_q,
-    compare_to_max_fixed_point,
     compare_to_max_fixed_point_q,
     format_decimal,
     frac_side_of_band_floor,
@@ -62,72 +60,66 @@ def test_iroot_brackets_the_root(n, m):
 
 def test_compare_to_max_fixed_point_examples():
     # degree 2, shift 3: the fixed point is (1 + sqrt(13)) / 2 ~ 2.3028
-    assert compare_to_max_fixed_point(2, 2, 3) is Side.BELOW
-    assert compare_to_max_fixed_point(3, 2, 3) is Side.ABOVE
+    assert frac_side_of_max_fixed_point(2, 2, 3) is Side.BELOW
+    assert frac_side_of_max_fixed_point(3, 2, 3) is Side.ABOVE
     # shift 6 puts it exactly at 3
-    assert compare_to_max_fixed_point(3, 2, 6) is Side.EQUAL
+    assert frac_side_of_max_fixed_point(3, 2, 6) is Side.EQUAL
     assert max_fixed_point_floor(2, 6) == 3
-    assert compare_to_max_fixed_point(1, 4, 1) is Side.BELOW
+    assert frac_side_of_max_fixed_point(1, 4, 1) is Side.BELOW
 
 
 def test_compare_domain_errors():
+    # the fixed point lies above 1, so every point below 1 is answered BELOW
+    for x in (0, -5, Fraction(1, 3)):
+        assert frac_side_of_max_fixed_point(x, 2, 3) is Side.BELOW
     with pytest.raises(ValueError):
-        compare_to_max_fixed_point(0, 2, 3)
+        frac_side_of_max_fixed_point(2, 1, 3)
     with pytest.raises(ValueError):
-        compare_to_max_fixed_point(2, 1, 3)
+        frac_side_of_max_fixed_point(2, 2, 0)
     with pytest.raises(ValueError):
-        compare_to_max_fixed_point(2, 2, 0)
+        frac_side_of_band_floor(-1, 2, 5)
     with pytest.raises(ValueError):
-        compare_to_band_floor(-1, 2, 5)
-    with pytest.raises(ValueError):
-        compare_to_band_floor(1, 2, 1)
+        frac_side_of_band_floor(1, 2, 1)
 
 
 @given(
-    m=st.sampled_from([2, 4, 6, 8]),
-    k=st.integers(min_value=1, max_value=10**9),
+    m=st.integers(min_value=2, max_value=11),
+    k=st.integers(min_value=1, max_value=10**40),
+    d=st.sampled_from([1, 2, 3, 4, 7, 12]),
+    n=st.integers(min_value=0, max_value=10**12),
 )
-def test_floor_is_tight(m, k):
+@example(m=2, k=1, d=4, n=0)  # q = -1/4: the fixed point is exactly 1/2
+@example(m=11, k=10**40, d=1, n=0)  # q = 0: the fixed point is exactly 1
+def test_floor_is_tight(m, k, d, n):
     t = max_fixed_point_floor(m, k)
     assert t >= 1
-    assert compare_to_max_fixed_point(t, m, k) is not Side.ABOVE
-    assert compare_to_max_fixed_point(t + 1, m, k) is Side.ABOVE
-
-
-@given(
-    m=st.sampled_from([2, 4, 6]),
-    k=st.integers(min_value=1, max_value=10**6),
-    x=st.integers(min_value=1, max_value=2000),
-)
-def test_int_and_fraction_predicates_agree(m, k, x):
-    assert compare_to_max_fixed_point(x, m, k) is frac_side_of_max_fixed_point(
-        Fraction(x), m, k
-    )
-
-
-@given(
-    m=st.sampled_from([2, 4, 6]),
-    k=st.integers(min_value=2, max_value=10**6),
-    x=st.integers(min_value=0, max_value=2000),
-)
-def test_band_floor_predicates_agree(m, k, x):
-    assert compare_to_band_floor(x, m, k) is frac_side_of_band_floor(Fraction(x), m, k)
+    assert frac_side_of_max_fixed_point(t, m, k) is not Side.ABOVE
+    assert frac_side_of_max_fixed_point(t + 1, m, k) is Side.ABOVE
+    # the q-family: q >= -1/4, so 1 + 4q >= 0
+    q = Fraction(n - d // 4, d)
+    t = max_fixed_point_floor_q(q)
+    assert compare_to_max_fixed_point_q(t, q) is not Side.ABOVE
+    assert compare_to_max_fixed_point_q(t + 1, q) is Side.ABOVE
+    if q < 0:
+        assert t == 0  # the fixed point lies in [1/2, 1)
+    elif q == 0:
+        assert t == 1
 
 
 @given(m=st.sampled_from([2, 4, 6]), k=st.integers(min_value=2, max_value=10**6))
 def test_band_floor_sides_are_monotone(m, k):
     top = max_fixed_point_floor(m, k)
-    sides = [compare_to_band_floor(x, m, k).value for x in range(0, top + 2)]
+    sides = [frac_side_of_band_floor(x, m, k).value for x in range(0, top + 2)]
     assert sides == sorted(sides)
     assert sides[-1] == Side.ABOVE.value  # top + 1 exceeds the fixed point too
 
 
 def test_band_floor_examples():
     # degree 2, shift 7: floor = sqrt(7 - fix) ~ 1.95
-    assert compare_to_band_floor(1, 2, 7) is Side.BELOW
-    assert compare_to_band_floor(2, 2, 7) is Side.ABOVE
+    assert frac_side_of_band_floor(1, 2, 7) is Side.BELOW
+    assert frac_side_of_band_floor(2, 2, 7) is Side.ABOVE
     # shift 2: floor is exactly 0
-    assert compare_to_band_floor(0, 2, 2) is Side.EQUAL
+    assert frac_side_of_band_floor(0, 2, 2) is Side.EQUAL
 
 
 # ====================================================================
