@@ -11,7 +11,8 @@ latticecheck  does a rational polynomial map step*Z into itself?
 conjugate     normal-form reduction of an integer quadratic
 
 Exit codes: 0 success (and agreement), 1 verified disagreement (anomaly),
-2 usage error, 3 I/O or checkpoint failure.
+2 usage error, 3 I/O or checkpoint failure.  Every oracle disagreement names
+the one-map oracle command that reproduces it.
 
 Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2.  --format lists exactly the formats a subcommand renders, the
@@ -237,6 +238,13 @@ def _oracle_task(the_map) -> tuple[str, bool, str]:
     return _map_label(the_map), report.agree, report.diff
 
 
+def _oracle_command(the_map) -> str:
+    """The one-map oracle run that reproduces a disagreement on the_map."""
+    if isinstance(the_map, PowerMap):
+        return f"orbitforge oracle power --m {the_map.degree} --k={the_map.shift}"
+    return f"orbitforge oracle quad --a={the_map.a} --b={the_map.b} --c={the_map.c}"
+
+
 def cmd_oracle(args) -> int:
     if args.family == "power":
         if args.m is None or args.k is None:
@@ -256,18 +264,22 @@ def cmd_oracle(args) -> int:
         ]
         if not maps:
             raise ValueError("grid contains no valid quadratics")
-    disagreements: list[tuple[str, str]] = []
+    disagreements: list[dict] = []
     lines: list[str] = []
-    for label, agree, diff in ordered_map(_oracle_task, maps, _workers(args)):
+    results = ordered_map(_oracle_task, maps, _workers(args))
+    for the_map, (label, agree, diff) in zip(maps, results):
+        verdict = "agree"
         if not agree:
-            disagreements.append((label, diff))
+            command = _oracle_command(the_map)
+            disagreements.append({"map": label, "diff": diff, "reproduce": command})
+            verdict = f"DISAGREE: {diff} (reproduce: {command})"
         if args.format == "table":
-            lines.append(f"{label}: {'agree' if agree else 'DISAGREE: ' + diff}")
+            lines.append(f"{label}: {verdict}")
     if args.format == "json":
         payload = {
             "checked": len(maps),
             "agree": len(maps) - len(disagreements),
-            "disagreements": [{"map": label, "diff": diff} for label, diff in disagreements],
+            "disagreements": disagreements,
         }
         _emit(_dump(payload), args.out)
     else:

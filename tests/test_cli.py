@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 import sys
 
 import pytest
@@ -194,9 +195,39 @@ def test_oracle_disagreement_exits_one(monkeypatch, capsys):
         return type(real)((99,), real.two_cycles, (), real.behavior)
 
     monkeypatch.setattr(oracle_module, "classify_power", wrong)
-    assert main(["oracle", "power", "--m", "2", "--k", "6", "--format", "json"]) == 1
+    assert main(["oracle", "power", "--m", "2", "--k=-1..6", "--format", "json"]) == 1
     data = json.loads(capsys.readouterr().out)
-    assert data["disagreements"] and "fixed points differ" in data["disagreements"][0]["diff"]
+    assert data["checked"] == 8 and len(data["disagreements"]) == 8
+    found = data["disagreements"][0]
+    assert "fixed points differ" in found["diff"]
+    assert found["map"] == "power degree=2 shift=-1"
+    assert found["reproduce"] == "orbitforge oracle power --m 2 --k=-1"
+    # the printed command alone reproduces the same diff, in both formats
+    argv = shlex.split(found["reproduce"])[1:]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out == (
+        f"{found['map']}: DISAGREE: {found['diff']} (reproduce: {found['reproduce']})\n"
+        "checked 1 maps: 1 disagreements\n"
+    )
+    assert main([*argv, "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["disagreements"] == [found]
+
+
+def test_oracle_quad_reproducer(monkeypatch, capsys):
+    from orbitforge.classify import classify_quad
+
+    def wrong(quad):
+        real = classify_quad(quad)
+        return type(real)(real.fixed_points, (), (), real.behavior)
+
+    monkeypatch.setattr(oracle_module, "classify_quad", wrong)
+    # x**2 + 2x - 7 has the 2-cycle (-4, 1); the other quads have none
+    assert main(["oracle", "quad", "--a", "1", "--b=2", "--c=-8..-6", "--format", "json"]) == 1
+    (found,) = json.loads(capsys.readouterr().out)["disagreements"]
+    assert found["reproduce"] == "orbitforge oracle quad --a=1 --b=2 --c=-7"
+    assert main([*shlex.split(found["reproduce"])[1:], "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["disagreements"] == [found]
 
 
 # ====================================================================

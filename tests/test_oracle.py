@@ -1,11 +1,14 @@
 """Brute-force oracle: escape bounds, traces, harvest, cross-checks."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitforge.classify import Cycle, classify_power, classify_quad
+from orbitforge.classify import Cycle, OrbitClassification, classify_power, classify_quad
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly
+from orbitforge import oracle as oracle_module
 from orbitforge.oracle import (
     cross_check,
     escape_bound,
@@ -239,3 +242,63 @@ def test_cross_check_degree_two_slice(k):
 @given(a=nonzero_ints, b=st.integers(-6, 6), c=st.integers(-60, 60))
 def test_cross_check_quad_slice(a, b, c):
     assert cross_check(QuadMap(a, b, c)).agree
+
+
+ORACLE_SHA256 = "040e7e1202698cef66dd33516fb0734a870d4411fc87a1bae9e3481a2b14bc39"
+
+
+def test_oracle_cycles_golden_digest():
+    # degree 1 stops at k = 300: its window holds 2|k| + 5 seeds, so the
+    # classifier digest's k <= 3000 would scan 9 million of them
+    digest = hashlib.sha256()
+    for m in range(1, 9):
+        for k in range(-300, 301 if m == 1 else 3001):
+            digest.update(repr(oracle_cycles(PowerMap(m, k))).encode())
+    for a in range(-3, 4):
+        if a == 0:
+            continue
+        for b in range(-6, 7):
+            for c in range(-60, 61):
+                digest.update(repr(oracle_cycles(QuadMap(a, b, c))).encode())
+    assert digest.hexdigest() == ORACLE_SHA256
+
+
+def _harvest_by_trace(the_map) -> OrbitClassification:
+    """oracle_cycles rebuilt from per-seed traces that each compute the bound."""
+    bound = escape_bound(the_map).bound
+    cycles = set()
+    for seed in range(-bound, bound + 1):
+        trace = iterate_with_escape(the_map, seed, 4 * bound + 4)
+        assert trace.outcome != "truncated"
+        if trace.outcome == "enters_cycle":
+            cycles.add(trace.cycle)
+    ordered = sorted(cycles, key=lambda c: (c.period, c.points))
+    return OrbitClassification(
+        tuple(c.points[0] for c in ordered if c.period == 1),
+        tuple(c for c in ordered if c.period == 2),
+        tuple(c for c in ordered if c.period > 2),
+        None,
+    )
+
+
+@settings(max_examples=60)
+@given(
+    the_map=st.one_of(
+        st.builds(PowerMap, st.integers(1, 8), st.integers(-50, 2000)),
+        # the AC4 box
+        st.builds(
+            QuadMap, st.integers(-3, 3).filter(bool), st.integers(-6, 6), st.integers(-60, 60)
+        ),
+    )
+)
+def test_oracle_cycles_matches_per_seed_traces(the_map):
+    assert oracle_cycles(the_map) == _harvest_by_trace(the_map)
+
+
+def test_oracle_cycles_computes_one_bound_per_map(monkeypatch):
+    calls = []
+    real = oracle_module.escape_bound
+    monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
+    the_map = PowerMap(2, 3000)
+    oracle_cycles(the_map)
+    assert calls == [the_map]
