@@ -2,12 +2,22 @@
 
 Iterating any map on Z_M yields a functional graph: every node has one
 out-edge, so the graph is a disjoint union of cycles with trees hanging off
-them.  functional_graph builds the successor table (vectorized numpy below
-2**31, where every per-term product stays inside int64; exact big-int
-Python above), then walks it once from each unvisited node.  A walk that
-runs into its own path has closed a new cycle; either way the walk's nodes
-take their distance to a cycle from the node it stopped at, so every node
-is visited once.
+them.  Both map families have integer coefficients, so by the Chinese
+remainder theorem their graph on Z_M is the direct product of their graphs
+on Z_q for the prime powers q exactly dividing M: a cycle of length l1 and
+one of length l2 multiply into gcd(l1, l2) cycles of length lcm(l1, l2),
+and a product node's tail is the longest of its components' tails.  So
+functional_graph measures each prime-power component and combines them;
+its cost follows the largest prime-power factor of M, not M.  Any other
+callable (CRT holds only for integer polynomials) has its whole ring
+walked as one component.
+
+Each component builds its successor table (vectorized numpy below 2**31,
+where every per-term product stays inside int64; exact big-int Python
+above), then walks it once from each unvisited node.  A walk that runs
+into its own path has closed a new cycle; either way the walk's nodes take
+their distance to a cycle from the node it stopped at, so every node is
+visited once.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -30,6 +40,7 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
+from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -98,16 +109,30 @@ def _successor_list(the_map, modulus: int) -> list[int]:
     return [the_map(x) % modulus for x in range(modulus)]
 
 
-def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
-    """Measure the functional graph of the_map on Z_modulus."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    succ = _successor_list(the_map, modulus)
+def _prime_powers(modulus: int) -> list[int]:
+    """The prime powers exactly dividing modulus, by trial division."""
+    parts = []
+    p = 2
+    while p * p <= modulus:
+        if modulus % p == 0:
+            q = 1
+            while modulus % p == 0:
+                modulus //= p
+                q *= p
+            parts.append(q)
+        p += 1 if p == 2 else 2
+    if modulus > 1:
+        parts.append(modulus)
+    return parts
+
+
+def _walk(succ: list[int]) -> tuple[dict[int, int], int]:
+    """Cycle-length counts and the longest tail of the graph x -> succ[x]."""
     # depth[x]: -1 unvisited, -2 on the current walk, else distance to a cycle
-    depth = [-1] * modulus
-    cycle_lengths: list[int] = []
+    depth = [-1] * len(succ)
+    counts: dict[int, int] = {}
     max_tail = 0
-    for start in range(modulus):
+    for start in range(len(succ)):
         if depth[start] != -1:
             continue
         path = []
@@ -119,7 +144,8 @@ def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
         d = depth[x]
         if d == -2:  # the walk closed a new cycle at x
             i = path.index(x)
-            cycle_lengths.append(len(path) - i)
+            length = len(path) - i
+            counts[length] = counts.get(length, 0) + 1
             for y in path[i:]:
                 depth[y] = 0
             del path[i:]
@@ -129,7 +155,40 @@ def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
             depth[path.pop()] = d
         if d > max_tail:
             max_tail = d
-    cycle_lengths.sort()
+    return counts, max_tail
+
+
+def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
+    """Measure the functional graph of the_map on Z_modulus.
+
+    A PowerMap or QuadMap is measured on each prime-power factor of the
+    modulus and the components are combined (see the module docstring), so
+    the cost follows the largest prime-power factor.  Any other callable
+    is walked over the whole ring.
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    if isinstance(the_map, (PowerMap, QuadMap)):
+        components = _prime_powers(modulus)
+    else:
+        components = [modulus]
+    counts = {1: 1}
+    max_tail = 0
+    for q in components:
+        part, tail = _walk(_successor_list(the_map, q))
+        combined: dict[int, int] = {}
+        for l1, n1 in counts.items():
+            for l2, n2 in part.items():
+                g = gcd(l1, l2)
+                length = l1 // g * l2
+                combined[length] = combined.get(length, 0) + n1 * n2 * g
+        counts = combined
+        max_tail = max(max_tail, tail)
+    # built as a list: a tuple grown from a generator is resized as it
+    # fills, and over many small calls that left the heap growing
+    cycle_lengths: list[int] = []
+    for length in sorted(counts):
+        cycle_lengths += [length] * counts[length]
     return FunctionalGraphSummary(
         modulus=modulus,
         node_count=modulus,

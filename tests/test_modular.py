@@ -93,6 +93,60 @@ def test_deep_tail_matches_naive_oracle():
         assert (got.cycle_lengths, got.max_tail_length) == ((1,), modulus - 1)
 
 
+integer_maps = st.one_of(
+    st.builds(PowerMap, st.integers(1, 6), st.integers(-50, 50)),
+    st.builds(QuadMap, nonzero_ints, st.integers(-20, 20), st.integers(-20, 20)),
+)
+
+
+def _has_two_primes(modulus):
+    """True when modulus has at least two distinct prime factors."""
+    p = next(d for d in range(2, modulus + 1) if modulus % d == 0)
+    while modulus % p == 0:
+        modulus //= p
+    return modulus > 1
+
+
+def _whole_ring(the_map):
+    """The same map as a plain callable, which functional_graph walks unsplit."""
+    return lambda x: the_map(x)
+
+
+# the identity (M fixed points), a deep 2-adic tail at 2^a*3^b, and a map
+# that permutes every Z_{2^e}
+SPLIT_EXAMPLES = (
+    (PowerMap(1, 0), 2310),
+    (PowerMap(1, 0), 30030),
+    (QuadMap(4, 2, 0), 2**5 * 3**3),
+    (QuadMap(4, 2, 0), 2**12 * 3**5),
+    (QuadMap(2, 1, 0), 2**7 * 15),
+    (QuadMap(2, 1, 0), 2**14 * 5),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(the_map=integer_maps, modulus=st.integers(6, 10**5).filter(_has_two_primes))
+def test_split_matches_whole_ring_walk(the_map, modulus):
+    assert functional_graph(the_map, modulus) == functional_graph(_whole_ring(the_map), modulus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(the_map=integer_maps, modulus=st.integers(6, 2000).filter(_has_two_primes))
+def test_split_matches_naive_oracle_at_composite_moduli(the_map, modulus):
+    assert functional_graph(the_map, modulus) == naive_graph_oracle(the_map, modulus)
+
+
+def test_split_examples():
+    for the_map, modulus in SPLIT_EXAMPLES:
+        split = functional_graph(the_map, modulus)
+        assert split == functional_graph(_whole_ring(the_map), modulus), (the_map, modulus)
+        if modulus <= 2000:
+            assert split == naive_graph_oracle(the_map, modulus), (the_map, modulus)
+    identity = functional_graph(PowerMap(1, 0), 30030)
+    assert (identity.cycle_lengths, identity.max_tail_length) == ((1,) * 30030, 0)
+    assert functional_graph(QuadMap(4, 2, 0), 2**12 * 3**5).max_tail_length == 12
+
+
 # SHA-256 over the reprs of these summaries, in map-major order
 GOLDEN_GRAPH_MAPS = (
     PowerMap(2, 1), PowerMap(3, 2), PowerMap(2, 0), PowerMap(1, 0),
@@ -114,7 +168,8 @@ def test_functional_graph_golden_digest():
 
 def test_big_int_fallback_matches_vectorized_path(monkeypatch):
     the_map = QuadMap(3, -5, 7)
-    expected = {m: functional_graph(the_map, m) for m in (2, 3, 17, 101, 256, 397)}
+    moduli = (2, 3, 17, 101, 256, 397, 360, 1001, 30030)
+    expected = {m: functional_graph(the_map, m) for m in moduli}
     monkeypatch.setattr(modular, "_NUMPY_LIMIT", 2)  # force the Python path
     for modulus, fast in expected.items():
         assert functional_graph(the_map, modulus) == fast
