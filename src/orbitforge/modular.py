@@ -12,12 +12,23 @@ its cost follows the largest prime-power factor of M, not M.  Any other
 callable (CRT holds only for integer polynomials) has its whole ring
 walked as one component.
 
-Each component builds its successor table (vectorized numpy below 2**31,
-where every per-term product stays inside int64; exact big-int Python
-above), then walks it once from each unvisited node.  A walk that runs
-into its own path has closed a new cycle; either way the walk's nodes take
-their distance to a cycle from the node it stopped at, so every node is
-visited once.
+Each component builds its successor table as an int64 array (vectorized
+numpy below 2**31, where every per-term product stays inside int64; exact
+big-int Python above), then takes one of two walks by size.  Components of
+fewer than _ARRAY_WALK_MIN nodes take _walk, a pure-Python walk from each
+unvisited node: a walk that runs into its own path has closed a new cycle;
+either way the walk's nodes take their distance to a cycle from the node it
+stopped at, so every node is visited once.  Larger components take
+_array_walk, which works in whole-array rounds.  It peels the nodes of
+in-degree 0, level by level: a node whose longest chain of predecessors
+has h edges goes in round h + 1.  With T the longest tail, a node at
+distance d from its cycle has h <= T - d, and the node next to the cycle
+on a longest tail has h = T - 1, so the peel takes exactly T rounds.  The
+survivors are the cycle nodes, and min-label pointer doubling gives each
+one its cycle's least node, whose label counts are the cycle lengths.
+Below the cut numpy's per-round cost outweighs the Python walk; above it
+the rounds are few next to the nodes (tails of random mappings run to
+about the square root of the size), so the array walk wins.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -62,6 +73,9 @@ __all__ = [
 
 # above this modulus, residue products no longer fit in int64
 _NUMPY_LIMIT = 1 << 31
+# components of at least this many nodes take _array_walk, smaller ones
+# _walk: below it numpy's per-round overhead costs more than the list walk
+_ARRAY_WALK_MIN = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,8 @@ def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
     return result
 
 
-def _successor_list(the_map, modulus: int) -> list[int]:
+def _successors(the_map, modulus: int) -> np.ndarray:
+    """The int64 array of the_map(x) % modulus for x in Z_modulus."""
     if modulus < _NUMPY_LIMIT and isinstance(the_map, (PowerMap, QuadMap)):
         x = np.arange(modulus, dtype=np.int64)
         if isinstance(the_map, PowerMap):
@@ -105,8 +120,10 @@ def _successor_list(the_map, modulus: int) -> list[int]:
             acc = (a * ((x * x) % modulus)) % modulus
             acc = (acc + b * x) % modulus
             acc = (acc + c) % modulus
-        return acc.tolist()
-    return [the_map(x) % modulus for x in range(modulus)]
+        return acc
+    return np.fromiter(
+        (the_map(x) % modulus for x in range(modulus)), dtype=np.int64, count=modulus
+    )
 
 
 def _prime_powers(modulus: int) -> list[int]:
@@ -158,6 +175,42 @@ def _walk(succ: list[int]) -> tuple[dict[int, int], int]:
     return counts, max_tail
 
 
+def _array_walk(succ: np.ndarray) -> tuple[dict[int, int], int]:
+    """_walk's result, computed by whole-array numpy rounds."""
+    n = len(succ)
+    indeg = np.bincount(succ, minlength=n)
+    alive = np.ones(n, dtype=bool)
+    frontier = np.flatnonzero(indeg == 0)
+    max_tail = 0
+    # peel in-degree 0 level by level; the rounds count the longest tail
+    while frontier.size:
+        alive[frontier] = False
+        targets, hits = np.unique(succ[frontier], return_counts=True)
+        indeg[targets] -= hits
+        frontier = targets[indeg[targets] == 0]
+        max_tail += 1
+    # the survivors are the cycle nodes; number them 0..k-1
+    on_cycle = np.flatnonzero(alive)
+    del indeg, alive
+    pos = np.empty(n, dtype=np.int64)
+    pos[on_cycle] = np.arange(len(on_cycle))
+    nxt = pos[succ[on_cycle]]
+    del pos, on_cycle
+    # after round r, label[i] is the least index among the 2**r nodes from
+    # i on and nxt[i] is the node 2**r ahead; once no label can drop, each
+    # is its cycle's least index
+    label = np.arange(len(nxt))
+    while True:
+        ahead = label[nxt]
+        if np.array_equal(ahead, label):
+            break
+        np.minimum(label, ahead, out=label)
+        nxt = nxt[nxt]
+    lengths = np.bincount(label)
+    values, counts = np.unique(lengths[lengths > 0], return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist())), max_tail
+
+
 def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
     """Measure the functional graph of the_map on Z_modulus.
 
@@ -175,7 +228,8 @@ def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
     counts = {1: 1}
     max_tail = 0
     for q in components:
-        part, tail = _walk(_successor_list(the_map, q))
+        succ = _successors(the_map, q)
+        part, tail = _array_walk(succ) if q >= _ARRAY_WALK_MIN else _walk(succ.tolist())
         combined: dict[int, int] = {}
         for l1, n1 in counts.items():
             for l2, n2 in part.items():

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,9 @@ def test_functional_graph_accepts_plain_callables():
         got = functional_graph(rotate, modulus)
         assert got == naive_graph_oracle(rotate, modulus)
         assert (got.cycle_lengths, got.max_tail_length) == ((modulus,), 0)
+    # above the array-walk cut: the longest pointer doubling
+    got = functional_graph(rotate, 2**15)
+    assert (got.cycle_lengths, got.max_tail_length) == ((2**15,), 0)
 
 
 def test_agreement_examples():
@@ -91,6 +95,32 @@ def test_deep_tail_matches_naive_oracle():
         got = functional_graph(step_down, modulus)
         assert got == naive_graph_oracle(step_down, modulus)
         assert (got.cycle_lengths, got.max_tail_length) == ((1,), modulus - 1)
+    # above the array-walk cut: one node peeled per round, M - 1 rounds
+    got = functional_graph(step_down, 2**14 + 1)
+    assert (got.cycle_lengths, got.max_tail_length) == ((1,), 2**14)
+
+
+@st.composite
+def successor_tables(draw):
+    """A random function or permutation of range(n), some with planted self-loops."""
+    n = draw(st.integers(1, 2000))
+    rnd = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["function", "permutation", "self-loops"]))
+    if kind == "permutation":
+        succ = list(range(n))
+        rnd.shuffle(succ)
+    else:
+        succ = [rnd.randrange(n) for _ in range(n)]
+    if kind == "self-loops":
+        for x in rnd.sample(range(n), rnd.randint(1, n)):
+            succ[x] = x
+    return succ
+
+
+@settings(max_examples=100, deadline=None)
+@given(succ=successor_tables())
+def test_array_walk_matches_list_walk(succ):
+    assert modular._array_walk(np.array(succ, dtype=np.int64)) == modular._walk(succ)
 
 
 integer_maps = st.one_of(
@@ -158,17 +188,20 @@ GOLDEN_GRAPH_MODULI = (
 GOLDEN_GRAPH_DIGEST = "6b97a5264d28f14434ec670fe0682d10d51d40d2e4e512f24c92acb74e2dca0f"
 
 
-def test_functional_graph_golden_digest():
-    digest = hashlib.sha256()
-    for the_map in GOLDEN_GRAPH_MAPS:
-        for modulus in GOLDEN_GRAPH_MODULI:
-            digest.update(repr(functional_graph(the_map, modulus)).encode())
-    assert digest.hexdigest() == GOLDEN_GRAPH_DIGEST
+def test_functional_graph_golden_digest(monkeypatch):
+    # every component through the array walk, then every one through the list walk
+    for cut in (2, 30031):
+        monkeypatch.setattr(modular, "_ARRAY_WALK_MIN", cut)
+        digest = hashlib.sha256()
+        for the_map in GOLDEN_GRAPH_MAPS:
+            for modulus in GOLDEN_GRAPH_MODULI:
+                digest.update(repr(functional_graph(the_map, modulus)).encode())
+        assert digest.hexdigest() == GOLDEN_GRAPH_DIGEST, cut
 
 
 def test_big_int_fallback_matches_vectorized_path(monkeypatch):
     the_map = QuadMap(3, -5, 7)
-    moduli = (2, 3, 17, 101, 256, 397, 360, 1001, 30030)
+    moduli = (2, 3, 17, 101, 256, 397, 360, 1001, 30030, 16411)
     expected = {m: functional_graph(the_map, m) for m in moduli}
     monkeypatch.setattr(modular, "_NUMPY_LIMIT", 2)  # force the Python path
     for modulus, fast in expected.items():
