@@ -35,6 +35,7 @@ before either file changes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -565,7 +566,14 @@ def cmd_conjugate(args) -> int:
 # ====================================================================
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The orbitforge argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every main() call shares it.
+    Each subcommand's handler is bound when the parser is built: replacing
+    a cmd_* function afterwards does not reach it.
+    """
     parser = argparse.ArgumentParser(
         prog="orbitforge",
         description="Exact classification and verification of periodic integer orbits.",

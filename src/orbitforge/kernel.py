@@ -19,10 +19,13 @@ the q-family m = 2), and the band floor side is the reversed fixed-point
 side of q - x**m.  No floating point is used anywhere in a decision.
 
 The integer floor of the fixed point (both families) is the integer root
-of floor(q) plus at most one step of that sign test.  Bisection remains
-only for decimal output, which exists solely for plots and reports: it
-bisects on scaled integers (the test point mid / 10**digits, never a
-Fraction) and carries a certified error bound.
+of floor(q) plus at most one step of that sign test.  Decimal output, which
+exists solely for plots and reports, bisects on scaled integers (the test
+point mid / 10**digits, never a Fraction) and carries a certified error
+bound.  In degree 2 both landmarks have closed forms in square roots,
+fix = (1 + sqrt(1 + 4q))/2 and floor = sqrt(q - fix), so math.isqrt
+brackets them within two units of 10**-digits and the bisection needs at
+most one sign test; degree m >= 3 bisects the whole range [0, floor(fix) + 1).
 """
 
 from __future__ import annotations
@@ -274,19 +277,54 @@ def format_decimal(scaled: int, digits: int) -> str:
     return f"{sign}{scaled // unit}.{scaled % unit:0{digits}d}"
 
 
-def _bisect_decimal(side_of, params: tuple, digits: int, int_ceiling: int) -> DecimalApprox:
-    """Certified decimal floor of a landmark in [0, int_ceiling + 1).
+def _unit(digits: int) -> int:
+    """The scale 10**digits of a certified decimal; digits must be >= 1."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    return 10**digits
 
+
+def _fix_bracket(qn: int, qd: int, unit: int) -> tuple[int, int]:
+    """(g - 1, g + 1) for g = floor(unit*fix), fix the larger root of
+    x**2 - x - qn/qd (1 + 4q >= 0); the low end is 0 when g - 1 < 0.
+
+    unit*fix = (unit*qd + sqrt(s)) / (2*qd) with s = unit**2*qd*(qd + 4*qn).
+    As r = isqrt(s) <= sqrt(s) < r + 1, unit*fix lies in [N, N + 1) / (2*qd)
+    for the integer N = unit*qd + r, and so in [g, g + 1) for g = N // (2*qd).
+    The one sign test left, at g, tells whether unit*fix is g exactly.
+    """
+    g = (unit * qd + math.isqrt(unit * unit * qd * (qd + 4 * qn))) // (2 * qd)
+    return max(g - 1, 0), g + 1
+
+
+def _floor_bracket(qn: int, qd: int, unit: int) -> tuple[int, int]:
+    """(lo, hi) with lo < unit*floor < hi, or lo = 0, for the real band floor
+    floor = sqrt(q - fix) of x**2 - qn/qd; hi - lo <= 2.
+
+    With g2 = floor(unit**2*fix) from _fix_bracket and a = floor(unit**2*q),
+    (unit*floor)**2 = unit**2*(q - fix) lies strictly between a - g2 - 1 and
+    a + 1 - g2 (which is at least 1, as q >= fix).  No two squares but 0
+    and 1 lie within 2 of each other, so the integer roots of the two ends
+    differ by at most 1.
+    """
+    scale = unit * unit
+    g2 = _fix_bracket(qn, qd, scale)[1] - 1
+    a = scale * qn // qd
+    return math.isqrt(max(a - g2 - 1, 0)), math.isqrt(a + 1 - g2) + 1
+
+
+def _bisect_decimal(side_of, params: tuple, digits: int, lo: int, hi: int) -> DecimalApprox:
+    """Certified decimal floor of a landmark in (lo, hi) scaled units.
+
+    lo must be below the landmark (it is never tested) unless it is 0, and
+    hi above it; digits >= 1 was checked by the caller (_unit).
     side_of(n, *params, unit=unit) must report the position of the test
     point n / unit relative to the landmark; the caller has checked params
     once, so the steps repeat no check and build no Fraction.  Bisection
-    keeps the landmark in [lo, hi) scaled units; an exact hit short-circuits
-    with error_bound 0.
+    keeps the landmark in [lo, hi); an exact hit short-circuits with
+    error_bound 0, so the result does not depend on the bracket.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     unit = 10**digits
-    lo, hi = 0, (int_ceiling + 1) * unit
     while hi - lo > 1:
         mid = (lo + hi) // 2
         side = side_of(mid, *params, unit=unit)
@@ -301,23 +339,33 @@ def _bisect_decimal(side_of, params: tuple, digits: int, int_ceiling: int) -> De
 
 def approx_max_fixed_point(m: int, k: int, digits: int) -> DecimalApprox:
     """Certified decimal for the max fixed point of x -> x**m - k."""
-    top = max_fixed_point_floor(m, k)
-    return _bisect_decimal(frac_side_of_max_fixed_point, (m, k), digits, top)
+    _check_family(m, k)
+    unit = _unit(digits)
+    if m == 2:
+        lo, hi = _fix_bracket(k, 1, unit)
+    else:
+        lo, hi = 0, (max_fixed_point_floor(m, k) + 1) * unit
+    return _bisect_decimal(frac_side_of_max_fixed_point, (m, k), digits, lo, hi)
 
 
 def approx_band_floor(m: int, k: int, digits: int) -> DecimalApprox:
     """Certified decimal for the band floor of x -> x**m - k (k >= 2)."""
     if k < 2:
         raise ValueError("band floor is real only for k >= 2")
-    top = max_fixed_point_floor(m, k)  # the floor never exceeds the fixed point
-    return _bisect_decimal(frac_side_of_band_floor, (m, k), digits, top)
+    _check_family(m, k)
+    unit = _unit(digits)
+    if m == 2:
+        lo, hi = _floor_bracket(k, 1, unit)
+    else:  # the floor never exceeds the fixed point
+        lo, hi = 0, (max_fixed_point_floor(m, k) + 1) * unit
+    return _bisect_decimal(frac_side_of_band_floor, (m, k), digits, lo, hi)
 
 
 def approx_max_fixed_point_q(q: Fraction, digits: int) -> DecimalApprox:
     """Certified decimal for the larger fixed point of x -> x**2 - q."""
-    q = Fraction(q)
-    top = max_fixed_point_floor_q(q)
-    return _bisect_decimal(compare_to_max_fixed_point_q, (q,), digits, top)
+    q = _check_q(q)
+    lo, hi = _fix_bracket(q.numerator, q.denominator, _unit(digits))
+    return _bisect_decimal(compare_to_max_fixed_point_q, (q,), digits, lo, hi)
 
 
 def approx_band_floor_q(q: Fraction, digits: int) -> DecimalApprox:
@@ -325,5 +373,5 @@ def approx_band_floor_q(q: Fraction, digits: int) -> DecimalApprox:
     q = Fraction(q)
     if not band_floor_is_real_q(q):
         raise ValueError("band floor is real only when q >= its fixed point")
-    top = max_fixed_point_floor_q(q)
-    return _bisect_decimal(compare_to_band_floor_q, (q,), digits, top)
+    lo, hi = _floor_bracket(q.numerator, q.denominator, _unit(digits))
+    return _bisect_decimal(compare_to_band_floor_q, (q,), digits, lo, hi)

@@ -98,12 +98,21 @@ class ScanRow:
 
 
 def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
-    result = np.ones_like(x)
-    base = x % modulus
+    """x**e % modulus elementwise, for int64 0 <= x < modulus < 2**31 and
+    e >= 1 (a PowerMap degree); e = 1 returns x itself.
+
+    Square-and-multiply from the lowest set bit of e: the result starts as
+    the base there, and no squaring follows the highest bit.
+    """
+    while not e & 1:
+        x = (x * x) % modulus
+        e >>= 1
+    result = x
+    e >>= 1
     while e:
+        x = (x * x) % modulus
         if e & 1:
-            result = (result * base) % modulus
-        base = (base * base) % modulus
+            result = (result * x) % modulus
         e >>= 1
     return result
 

@@ -612,6 +612,19 @@ def test_conjugate(capsys):
 # ====================================================================
 
 
+def test_parser_is_shared_across_main_calls(capsys):
+    argv = ["bounds", "--k", "0..6", "--digits", "6", "--format", "csv"]
+    cli_module.build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    # a usage error part-way through options leaves nothing behind
+    assert main(["bounds", "--k", "0..6", "--odd-linear", "--digits", "x"]) == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert cli_module.build_parser() is cli_module.build_parser()
+
+
 def test_entrypoint_raises_system_exit(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["orbitforge", "classify", "power", "2", "6"])
     with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orbitforge.kernel as kernel
 from orbitforge.kernel import (
     DecimalApprox,
     Side,
@@ -192,11 +193,25 @@ def test_approx_examples():
 
 def test_approx_domain_errors():
     with pytest.raises(ValueError):
-        approx_max_fixed_point(2, 3, 0)
-    with pytest.raises(ValueError):
         approx_band_floor(2, 1, 6)
     with pytest.raises(ValueError):
         approx_band_floor_q(Fraction(7, 4), 6)
+    # refused before any bracket arithmetic: 10**-1 is a float, which
+    # math.isqrt would reject with a TypeError
+    for digits in (0, -1):
+        for m in (2, 3):
+            for approx in (approx_max_fixed_point, approx_band_floor):
+                with pytest.raises(ValueError, match="digits must be >= 1"):
+                    approx(m, 3, digits)
+        for approx in (approx_max_fixed_point_q, approx_band_floor_q):
+            with pytest.raises(ValueError, match="digits must be >= 1"):
+                approx(Fraction(11, 4), digits)
+        # a bad family is named before a bad digit count
+        with pytest.raises(ValueError, match="shift must be >= 1"):
+            approx_max_fixed_point(2, 0, digits)
+    for approx in (approx_max_fixed_point_q, approx_band_floor_q):
+        with pytest.raises(ValueError, match="no real fixed points"):
+            approx(Fraction(-1, 3), 6)  # 1 + 4q < 0
 
 
 def test_decimal_approx_as_fraction():
@@ -316,3 +331,95 @@ def test_q_decimals_bracket_the_polynomial_roots(q, digits):
     _assert_brackets(approx_max_fixed_point_q(q, digits), _fix_side(2, q), digits)
     if q >= 2:  # the band floor is real exactly from q = 2 on
         _assert_brackets(approx_band_floor_q(q, digits), _floor_side(2, q), digits)
+
+
+# Degree 2 seeds the bisection with an isqrt bracket; the full range
+# [0, floor(fix) + 1) that degree m >= 3 bisects is the reference.
+
+
+def _assert_seeded_matches_full_range(q, digits):
+    """Every degree-2 landmark of x**2 - q, in both families where q is a
+    shift k >= 1, equals the full-range bisection of its side predicate."""
+    cases = [(approx_max_fixed_point_q(q, digits), compare_to_max_fixed_point_q, (q,))]
+    if band_floor_is_real_q(q):
+        cases.append((approx_band_floor_q(q, digits), compare_to_band_floor_q, (q,)))
+    if q.denominator == 1 and q >= 1:
+        k = int(q)
+        cases.append((approx_max_fixed_point(2, k, digits), frac_side_of_max_fixed_point, (2, k)))
+        if k >= 2:
+            cases.append((approx_band_floor(2, k, digits), frac_side_of_band_floor, (2, k)))
+    ceiling = (max_fixed_point_floor_q(q) + 1) * 10**digits
+    for seeded, side, params in cases:
+        full = kernel._bisect_decimal(side, params, digits, 0, ceiling)
+        assert seeded == full, (q, digits, side.__name__)
+
+
+_LARGE_K = [10**6, 10**9 + 7, 10**12, 10**18 + 3, 10**30]
+
+
+@pytest.mark.parametrize("qd", [1, 2, 3, 4, 7, 12])
+def test_seeded_bracket_matches_full_range_bisection(qd):
+    # q from its least value -1/4 (rounded up to a multiple of 1/qd) to 25,
+    # plus large q, each at a spread of digits
+    qs = [Fraction(qn, qd) for qn in range(-(qd // 4), 25 * qd + 1)]
+    qs += [Fraction(k) - Fraction(j, qd) for k in _LARGE_K for j in (0, qd // 4)]
+    for q in qs:
+        for digits in (1, 2, 5, 12, 48):
+            _assert_seeded_matches_full_range(q, digits)
+
+
+@pytest.mark.parametrize(
+    "q",
+    [Fraction(2), Fraction(-1, 4), Fraction(3, 4), Fraction(45, 16), Fraction(7)]
+    + [Fraction(10**30) - Fraction(1, 4)],
+)
+def test_seeded_bracket_matches_full_range_at_every_digit_count(q):
+    for digits in range(1, 49):
+        _assert_seeded_matches_full_range(q, digits)
+
+
+def test_seeded_bracket_keeps_the_exact_cases():
+    # k = 2: fix = 2 is hit exactly; the band floor is exactly 0, which the
+    # untested low end 0 reports with error 1/unit
+    for digits in (1, 6, 48):
+        unit = 10**digits
+        fix = DecimalApprox(format_decimal(2 * unit, digits), digits, Fraction(0))
+        floor = DecimalApprox(format_decimal(0, digits), digits, Fraction(1, unit))
+        assert approx_max_fixed_point(2, 2, digits) == fix
+        assert approx_band_floor(2, 2, digits) == floor
+    # exact hits above 0: fix = 9/4 and floor = 3/4 at q = 45/16, fix = 1/2 at q = -1/4
+    assert approx_max_fixed_point_q(Fraction(45, 16), 2) == DecimalApprox("2.25", 2, Fraction(0))
+    assert approx_band_floor_q(Fraction(45, 16), 2) == DecimalApprox("0.75", 2, Fraction(0))
+    assert approx_max_fixed_point_q(Fraction(-1, 4), 3) == DecimalApprox("0.500", 3, Fraction(0))
+
+
+def test_degree_two_takes_at_most_one_sign_test(monkeypatch):
+    calls = []
+    for name in (
+        "frac_side_of_max_fixed_point",
+        "frac_side_of_band_floor",
+        "compare_to_max_fixed_point_q",
+        "compare_to_band_floor_q",
+    ):
+        real = getattr(kernel, name)
+        counted = lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw)  # noqa: E731
+        monkeypatch.setattr(kernel, name, counted)
+
+    def steps(approx, *args):
+        calls.clear()
+        approx(*args)
+        return len(calls)
+
+    counts = []
+    for digits in (1, 3, 6, 12, 24, 48):
+        for k in [*range(1, 400), *_LARGE_K]:
+            q = Fraction(k) - Fraction(1, 4)
+            counts.append(steps(approx_max_fixed_point, 2, k, digits))
+            counts.append(steps(approx_max_fixed_point_q, q, digits))
+            if k >= 2:
+                counts.append(steps(approx_band_floor, 2, k, digits))
+            if band_floor_is_real_q(q):
+                counts.append(steps(approx_band_floor_q, q, digits))
+    assert max(counts) <= 1
+    # degree >= 3 still bisects the full range
+    assert steps(approx_max_fixed_point, 3, 10, 12) > 2

@@ -44,6 +44,16 @@ def test_functional_graph_rejects_small_modulus():
         naive_graph_oracle(PowerMap(2, 1), 0)
 
 
+def test_pow_mod_array_matches_pow():
+    for modulus in (1, 2, 12, 97, 1024, 65537, 131071):
+        x = np.arange(modulus, dtype=np.int64)
+        sample = range(0, modulus, max(1, modulus // 500))
+        for e in range(1, 41):
+            got = modular._pow_mod_array(x, e, modulus)
+            want = [pow(i, e, modulus) for i in sample]
+            assert [int(got[i]) for i in sample] == want, (modulus, e)
+
+
 def test_functional_graph_accepts_plain_callables():
     # a pure rotation is a single M-cycle with no tails
     rotate = lambda x: x + 1  # noqa: E731
