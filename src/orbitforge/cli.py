@@ -26,15 +26,20 @@ because perfbench passes it to every subcommand it runs.
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
 
-A resumed modscan (same --out and --checkpoint) cuts its CSV back to the rows
-the checkpoint covers, so it ends with the bytes of an uninterrupted run.  A
-CSV that no interrupted run of that scan could have left is refused (exit 3)
-before either file changes.
+modscan owns the resume protocol and modular the checkpoint format.  modscan
+writes and flushes each CSV row before appending that modulus's checkpoint
+line, so no checkpointed modulus is ever missing from the CSV.  A resumed
+modscan (same --out and --checkpoint) reads the checkpoint once, cuts its
+torn last line and cuts the CSV back to the rows the checkpoint covers, so it
+ends with the bytes of an uninterrupted run.  A CSV that no interrupted run
+of that scan could have left is refused (exit 3) before either file changes;
+a checkpoint without a CSV to extend starts the scan afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -53,7 +58,14 @@ from .kernel import (
     format_decimal,
 )
 from .maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check, parse_rational
-from .modular import CheckpointError, max_cycle_scan, ordered_map, read_checkpoint
+from .modular import (
+    CheckpointError,
+    checkpoint_line,
+    map_params,
+    max_cycle_scan,
+    ordered_map,
+    read_checkpoint,
+)
 from .oracle import cross_check, escape_bound, iterate_with_escape
 
 __all__ = ["main", "entrypoint", "parse_grid", "render_classification_json"]
@@ -410,6 +422,10 @@ def _bounds_svg(rows: list[dict]) -> str:
 def cmd_bounds(args) -> int:
     if args.digits < 1:
         raise ValueError("digits must be >= 1")
+    # absent before Python 3.10.7, whose int-to-str conversion has no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and args.digits > limit:
+        raise ValueError(f"digits must be <= {limit}, the int-to-str conversion limit")
     _workers(args)  # checked like oracle's and modscan's, then ignored
     rows = _bounds_rows(args.k, args.digits, args.odd_linear)
     if args.format == "svg":
@@ -464,34 +480,47 @@ def _cut_csv(path: Path, done: int) -> bool:
     return True
 
 
+def _cut_torn_line(path: Path) -> None:
+    """Truncate a file after its last newline, dropping an interrupted write."""
+    data = path.read_bytes()
+    if not data.endswith(b"\n"):
+        os.truncate(path, data.rfind(b"\n") + 1)
+
+
 def cmd_modscan(args) -> int:
     the_map = _build_map(args.family, args.params)
     if args.stride < 1:
         raise ValueError("stride must be >= 1")
     moduli = sorted(set(args.M))[:: args.stride]
-    # refuses bad moduli before any file is touched; reads the checkpoint
-    # only when the first row is asked for, after the handling below
-    rows = max_cycle_scan(
-        the_map, moduli, workers=_workers(args), checkpoint_path=args.checkpoint
-    )
-    resume = False
-    if args.checkpoint is not None and args.checkpoint.exists() and args.checkpoint.stat().st_size:
-        done = read_checkpoint(args.checkpoint, the_map)  # may raise CheckpointError
+    workers = _workers(args)
+    # refuses bad moduli in the whole grid before any file is touched
+    summaries = max_cycle_scan(the_map, moduli, workers=workers)
+    ck, resume = args.checkpoint, False
+    if ck is not None and ck.exists():
+        done = read_checkpoint(ck, the_map)  # may raise CheckpointError
         if done is not None and args.out is not None and args.out.exists():
             resume = _cut_csv(args.out, done)
-        if done is not None and not resume:
-            args.checkpoint.unlink()  # checkpoint without a CSV to extend: restart
-    if args.out is None:
-        sys.stdout.write(MODSCAN_CSV_HEADER + "\n")
-        for row in rows:
-            sys.stdout.write(_scan_csv_row(row.summary))
-    else:
-        with open(args.out, "a" if resume else "w", encoding="ascii", newline="") as fh:
-            if not resume:
-                fh.write(MODSCAN_CSV_HEADER + "\n")
-            for row in rows:
-                fh.write(_scan_csv_row(row.summary))
-                fh.flush()
+        if resume:
+            _cut_torn_line(ck)
+            summaries = max_cycle_scan(the_map, [m for m in moduli if m > done], workers=workers)
+    # without a CSV to extend, a checkpoint is overwritten: the scan restarts
+    mode = "a" if resume else "w"
+    params = map_params(the_map)
+    with (
+        open(args.out, mode, encoding="ascii", newline="")
+        if args.out is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as fh, (
+        open(ck, mode, encoding="ascii") if ck is not None else contextlib.nullcontext()
+    ) as sink:
+        if not resume:
+            fh.write(MODSCAN_CSV_HEADER + "\n")
+        for summary in summaries:
+            fh.write(_scan_csv_row(summary))
+            fh.flush()
+            if sink is not None:
+                sink.write(checkpoint_line(params, summary))
+                sink.flush()
     return 0
 
 

@@ -37,18 +37,14 @@ ordered_map is the one place that spreads work over worker processes (the
 oracle grids and max_cycle_scan both use it); results come back in input
 order whatever the number of workers.
 
-max_cycle_scan appends a checkpoint line for a modulus only after its
-consumer has taken the row, so a consumer that writes and flushes each row
-before asking for the next one never has a checkpointed modulus missing
-from its output.  A last line without its newline is an interrupted write:
-read_checkpoint ignores it and max_cycle_scan cuts it off before appending.
+This module owns the checkpoint format (map_params, checkpoint_line,
+read_checkpoint); the modscan command in the CLI owns the resume protocol
+that writes and reads it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import time
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
@@ -61,8 +57,8 @@ from .maps import PowerMap, QuadMap
 
 __all__ = [
     "FunctionalGraphSummary",
-    "ScanRow",
     "CheckpointError",
+    "checkpoint_line",
     "functional_graph",
     "naive_graph_oracle",
     "max_cycle_scan",
@@ -87,14 +83,6 @@ class FunctionalGraphSummary:
     max_cycle_length: int
     max_tail_length: int
     nodes_on_cycles: int
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    modulus: int
-    params: tuple[int, ...]
-    summary: FunctionalGraphSummary
-    elapsed: float
 
 
 def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
@@ -348,22 +336,10 @@ def read_checkpoint(path, the_map) -> int | None:
     return last
 
 
-def _cut_torn_line(path) -> None:
-    """Truncate a file after its last newline, dropping an interrupted write."""
-    data = Path(path).read_bytes()
-    if not data.endswith(b"\n"):
-        os.truncate(path, data.rfind(b"\n") + 1)
-
-
-def _checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) -> str:
+def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) -> str:
+    """The checkpoint line recording summary for a map with these params."""
     fields = (*params, summary.modulus, summary.max_cycle_length, summary.cycle_count)
     return " ".join(str(f) for f in fields) + "\n"
-
-
-def _scan_one(the_map, modulus: int) -> ScanRow:
-    started = time.perf_counter()
-    summary = functional_graph(the_map, modulus)
-    return ScanRow(modulus, map_params(the_map), summary, time.perf_counter() - started)
 
 
 def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
@@ -381,43 +357,15 @@ def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
 
 
 def max_cycle_scan(
-    the_map,
-    moduli: Iterable[int],
-    *,
-    workers: int = 1,
-    checkpoint_path: str | os.PathLike | None = None,
-) -> Iterator[ScanRow]:
-    """Iterate one ScanRow per modulus, in ascending modulus order.
+    the_map, moduli: Iterable[int], *, workers: int = 1
+) -> Iterator[FunctionalGraphSummary]:
+    """Iterate functional_graph(the_map, M) for each modulus M, ascending.
 
-    Moduli below 2 are refused by this call itself, before any row is asked
-    for; the checkpoint is read when the first row is.  With a checkpoint
-    file, moduli at or below the last recorded one are skipped and each
-    completion is appended once the consumer asks for the next row, so an
-    interrupted scan resumes where it stopped.  Worker processes split the
-    moduli; results are still yielded (and checkpointed) in order.
+    Moduli below 2 are refused by this call itself, before any summary is
+    asked for.  Worker processes split the moduli; summaries are still
+    yielded in order.
     """
     moduli = sorted(set(moduli))
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    return _scan(the_map, moduli, workers, checkpoint_path)
-
-
-def _scan(the_map, moduli: list[int], workers: int, checkpoint_path) -> Iterator[ScanRow]:
-    done = None
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        done = read_checkpoint(checkpoint_path, the_map)
-        _cut_torn_line(checkpoint_path)
-    todo = [m for m in moduli if done is None or m > done]
-    if not todo:
-        return
-    params = map_params(the_map)
-    sink = open(checkpoint_path, "a", encoding="ascii") if checkpoint_path else None
-    try:
-        for row in ordered_map(partial(_scan_one, the_map), todo, workers):
-            yield row
-            if sink:
-                sink.write(_checkpoint_line(params, row.summary))
-                sink.flush()
-    finally:
-        if sink:
-            sink.close()
+    return ordered_map(partial(functional_graph, the_map), moduli, workers)

@@ -226,7 +226,7 @@ def test_ac08_modular_structure_and_performance(tmp_path):
             rows = list(max_cycle_scan(PowerMap(2, 1), [modulus], workers=4))
             scan_elapsed = time.perf_counter() - start
             assert scan_elapsed < 5.0, f"scan mod {modulus} took {scan_elapsed:.2f}s"
-            summary = rows[0].summary
+            summary = rows[0]
             assert (
                 summary.max_cycle_length,
                 summary.cycle_count,

@@ -17,6 +17,8 @@ from orbitforge.cli import (
     main,
     parse_grid,
 )
+from orbitforge.maps import PowerMap, QuadMap
+from orbitforge.modular import functional_graph, read_checkpoint
 
 # ====================================================================
 # grid parsing
@@ -326,6 +328,31 @@ def test_bounds_usage_errors():
     assert main(["bounds", "--k", "2..3", "--workers", "0", "--format", "csv"]) == 2
 
 
+@pytest.fixture
+def int_str_limit_640():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(before)
+
+
+def test_bounds_refuses_digits_over_int_str_limit(monkeypatch, capsys, int_str_limit_640):
+    calls = []
+    for name in [n for n in dir(cli_module) if n.startswith("approx_")]:
+        real = getattr(cli_module, name)
+        monkeypatch.setattr(cli_module, name, lambda *a, real=real: calls.append(a) or real(*a))
+    for family in ([], ["--odd-linear"]):
+        bounds = ["bounds", "--k", "2..3", "--format", "csv", *family]
+        capsys.readouterr()
+        assert main(bounds + ["--digits", "641"]) == 2
+        assert "640" in capsys.readouterr().err
+        assert calls == []
+        assert main(bounds + ["--digits", "640"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [len(row.split(",")[1].split(".")[1]) for row in rows] == [640, 640]
+        calls.clear()
+
+
 # ====================================================================
 # modscan
 # ====================================================================
@@ -367,6 +394,50 @@ def test_modscan_resume_is_byte_identical(tmp_path):
     assert full.read_bytes() == part.read_bytes()
 
 
+def test_modscan_resume_reads_checkpoint_once(monkeypatch, tmp_path):
+    files = ["--out", str(tmp_path / "scan.csv"), "--checkpoint", str(tmp_path / "scan.ck")]
+    assert main(["modscan", "power", "2", "1", "--M", "2..25", *files]) == 0
+    calls = []
+    for module in (cli_module, modular_module):
+        real = module.read_checkpoint
+        monkeypatch.setattr(
+            module, "read_checkpoint", lambda *a, real=real: calls.append(a) or real(*a)
+        )
+    assert main(["modscan", "power", "2", "1", "--M", "2..40", *files]) == 0
+    assert len(calls) == 1
+
+
+def test_modscan_quad_checkpoint_lines(tmp_path):
+    ck = tmp_path / "scan.ck"
+    assert main(["modscan", "quad", "1", "1", "-2", "--M", "5,3,9", "--checkpoint", str(ck)]) == 0
+    the_map = QuadMap(1, 1, -2)
+    expected = ""
+    for m in (3, 5, 9):
+        summary = functional_graph(the_map, m)
+        expected += f"1 1 -2 {m} {summary.max_cycle_length} {summary.cycle_count}\n"
+    assert ck.read_text() == expected
+
+
+def test_modscan_resume_skips_checkpointed_moduli(monkeypatch, tmp_path):
+    out, ck = tmp_path / "scan.csv", tmp_path / "scan.ck"
+    scan = ["modscan", "power", "2", "1", "--out", str(out), "--checkpoint", str(ck)]
+    assert main(scan + ["--M", "2..20"]) == 0
+    walked = []
+    real = modular_module.functional_graph
+    monkeypatch.setattr(
+        modular_module, "functional_graph", lambda f, m: walked.append(m) or real(f, m)
+    )
+    assert main(scan + ["--M", "2..30"]) == 0
+    assert walked == list(range(21, 31))
+    assert read_checkpoint(ck, PowerMap(2, 1)) == 30
+    # fully covered: nothing is walked and neither file changes
+    before = (out.read_bytes(), ck.read_bytes())
+    walked.clear()
+    assert main(scan + ["--M", "2..30"]) == 0
+    assert walked == []
+    assert (out.read_bytes(), ck.read_bytes()) == before
+
+
 class Interrupted(Exception):
     """Stands for a kill between two writes of a scan."""
 
@@ -391,11 +462,11 @@ def _stopped_scan(monkeypatch, tmp_path, after: str, row: int):
     row-th CSV row (after="csv") or the row-th checkpoint line ("checkpoint").
 
     Row n is written between the n-th calls of cli._scan_csv_row and
-    modular._checkpoint_line, and its checkpoint line after the latter.
+    cli.checkpoint_line, and its checkpoint line after the latter.
     """
     out, ck = tmp_path / "scan.csv", tmp_path / "scan.ck"
     module, name, stop = {
-        "csv": (modular_module, "_checkpoint_line", row),
+        "csv": (cli_module, "checkpoint_line", row),
         "checkpoint": (cli_module, "_scan_csv_row", row + 1),
     }[after]
     if stop > FAULT_ROWS:  # the last checkpoint line ends the scan
