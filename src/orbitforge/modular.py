@@ -14,28 +14,36 @@ walked as one component.
 
 Each component builds its successor table as an int64 array (vectorized
 numpy below 2**31, where every per-term product stays inside int64; exact
-big-int Python above), then takes one of two walks by size.  Components of
-fewer than _ARRAY_WALK_MIN nodes take _walk, a pure-Python walk from each
-unvisited node: a walk that runs into its own path has closed a new cycle;
-either way the walk's nodes take their distance to a cycle from the node it
-stopped at, so every node is visited once.  Larger components take
-_array_walk, which works in whole-array rounds.  It peels the nodes of
-in-degree 0, level by level: a node whose longest chain of predecessors
-has h edges goes in round h + 1.  With T the longest tail, a node at
-distance d from its cycle has h <= T - d, and the node next to the cycle
-on a longest tail has h = T - 1, so the peel takes exactly T rounds.  The
-survivors are the cycle nodes, and min-label pointer doubling gives each
-one its cycle's least node, whose label counts are the cycle lengths.
-Below the cut numpy's per-round cost outweighs the Python walk; above it
-the rounds are few next to the nodes (tails of random mappings run to
-about the square root of the size), so the array walk wins.
+big-int Python above).  _array_walk then works in whole-array rounds.  It
+peels the nodes of in-degree 0, level by level: a node whose longest
+chain of predecessors has h edges goes in round h + 1.  With T the
+longest tail, a node at distance d from its cycle has h <= T - d, and the
+node next to the cycle on a longest tail has h = T - 1, so the peel takes
+exactly T rounds.  The survivors are the cycle nodes, and min-label
+pointer doubling gives each one its cycle's least node, whose label
+counts are the cycle lengths.
+
+A round costs numpy tens of microseconds whatever its size, more than a
+small component's whole work, so small components are walked many at a
+time: their tables are laid end to end as the blocks of one graph, each
+offset by its start, and one walk serves them all.  Each node records its
+peel round, so a block's longest tail is its highest round; a cycle's
+block is found from its least node.  A batch holds at most _BATCH_NODES
+nodes; a component that large is walked on its own, with one bit per
+node in the peel and no block lookup.  A call for one modulus walks its
+own components as one batch.  max_cycle_scan keeps one component table
+for the whole call, so each component is walked once per scan, and cuts
+the moduli into runs whose new components fill one batch; the first
+modulus of a run walks the run's batch.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
 
 ordered_map is the one place that spreads work over worker processes (the
 oracle grids and max_cycle_scan both use it); results come back in input
-order whatever the number of workers.
+order whatever the number of workers.  A scan hands it runs, not moduli,
+and a scan of one run starts no pool; each worker task keeps its own
+component table.
 
 This module owns the checkpoint format (map_params, checkpoint_line,
 read_checkpoint); the modscan command in the CLI owns the resume protocol
@@ -49,7 +57,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,9 +77,10 @@ __all__ = [
 
 # above this modulus, residue products no longer fit in int64
 _NUMPY_LIMIT = 1 << 31
-# components of at least this many nodes take _array_walk, smaller ones
-# _walk: below it numpy's per-round overhead costs more than the list walk
-_ARRAY_WALK_MIN = 1 << 14
+# node budget of one batched walk; a component this large is walked alone.
+# A larger budget spreads numpy's per-round cost over more components and
+# holds more memory at once; 2**13 ran modscan-many about 15% slower.
+_BATCH_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -140,55 +149,53 @@ def _prime_powers(modulus: int) -> list[int]:
     return parts
 
 
-def _walk(succ: list[int]) -> tuple[dict[int, int], int]:
-    """Cycle-length counts and the longest tail of the graph x -> succ[x]."""
-    # depth[x]: -1 unvisited, -2 on the current walk, else distance to a cycle
-    depth = [-1] * len(succ)
-    counts: dict[int, int] = {}
-    max_tail = 0
-    for start in range(len(succ)):
-        if depth[start] != -1:
-            continue
-        path = []
-        x = start
-        while depth[x] == -1:
-            depth[x] = -2
-            path.append(x)
-            x = succ[x]
-        d = depth[x]
-        if d == -2:  # the walk closed a new cycle at x
-            i = path.index(x)
-            length = len(path) - i
-            counts[length] = counts.get(length, 0) + 1
-            for y in path[i:]:
-                depth[y] = 0
-            del path[i:]
-            d = 0
-        while path:
-            d += 1
-            depth[path.pop()] = d
-        if d > max_tail:
-            max_tail = d
-    return counts, max_tail
+def _components(the_map, modulus: int) -> list[int]:
+    """The moduli of the components functional_graph walks for Z_modulus:
+    its prime powers for a PowerMap or QuadMap, the whole ring otherwise."""
+    if isinstance(the_map, (PowerMap, QuadMap)):
+        return _prime_powers(modulus)
+    return [modulus]
 
 
-def _array_walk(succ: np.ndarray) -> tuple[dict[int, int], int]:
-    """_walk's result, computed by whole-array numpy rounds."""
+_Part = tuple[dict[int, int], int]  # a component's cycle-length counts and max tail
+
+
+def _array_walk(succ: np.ndarray, starts: np.ndarray | None = None) -> list[_Part]:
+    """Cycle-length counts and the longest tail of the graph x -> succ[x]
+    (see the module docstring).
+
+    With starts, succ holds several graphs as blocks, block b at nodes
+    starts[b] on, and the result is one pair per block.  A single graph
+    keeps one bit per node in the peel and looks no block up.
+    """
     n = len(succ)
     indeg = np.bincount(succ, minlength=n)
-    alive = np.ones(n, dtype=bool)
+    # level[x] is the round that peels x, 0 on a cycle (for a single graph,
+    # only whether it was peeled)
+    level = np.zeros(n, dtype=bool if starts is None else np.int32)
     frontier = np.flatnonzero(indeg == 0)
-    max_tail = 0
-    # peel in-degree 0 level by level; the rounds count the longest tail
+    rounds = 0
     while frontier.size:
-        alive[frontier] = False
-        targets, hits = np.unique(succ[frontier], return_counts=True)
-        indeg[targets] -= hits
-        frontier = targets[indeg[targets] == 0]
-        max_tail += 1
-    # the survivors are the cycle nodes; number them 0..k-1
-    on_cycle = np.flatnonzero(alive)
-    del indeg, alive
+        rounds += 1
+        level[frontier] = rounds
+        targets = succ[frontier]
+        del frontier
+        np.subtract.at(indeg, targets, 1)
+        freed = targets[indeg[targets] == 0]
+        # freed repeats a node once per edge into it; tag each entry with a
+        # distinct negative indeg (a peeled node is never hit again) and
+        # keep the one entry per node whose tag stuck
+        tags = -1 - np.arange(len(freed))
+        indeg[freed] = tags
+        frontier = freed[indeg[freed] == tags]
+    if starts is not None:
+        tails = np.maximum.reduceat(level, starts).tolist()
+    # number the cycle nodes 0..k-1
+    on_cycle = np.flatnonzero(level == 0)
+    del indeg, level
+    if starts is not None:
+        # the number of each block's first cycle node
+        first_cycle = np.searchsorted(on_cycle, starts)
     pos = np.empty(n, dtype=np.int64)
     pos[on_cycle] = np.arange(len(on_cycle))
     nxt = pos[succ[on_cycle]]
@@ -204,29 +211,85 @@ def _array_walk(succ: np.ndarray) -> tuple[dict[int, int], int]:
         np.minimum(label, ahead, out=label)
         nxt = nxt[nxt]
     lengths = np.bincount(label)
-    values, counts = np.unique(lengths[lengths > 0], return_counts=True)
-    return dict(zip(values.tolist(), counts.tolist())), max_tail
+    if starts is None:
+        values, counts = np.unique(lengths[lengths > 0], return_counts=True)
+        return [(dict(zip(values.tolist(), counts.tolist())), rounds)]
+    least = np.flatnonzero(lengths)
+    block = np.searchsorted(first_cycle, least, side="right") - 1
+    # a cycle of length l in block b counts at node starts[b] + l - 1,
+    # which lies in block b, as l is at most the block's size
+    tally = np.bincount(starts[block] + lengths[least] - 1, minlength=n)
+    keys = np.flatnonzero(tally)
+    block = np.searchsorted(starts, keys, side="right") - 1
+    counts: list[dict[int, int]] = [{} for _ in starts]
+    for b, length, count in zip(
+        block.tolist(), (keys - starts[block] + 1).tolist(), tally[keys].tolist()
+    ):
+        counts[b][length] = count
+    return list(zip(counts, tails))
 
 
-def functional_graph(the_map, modulus: int) -> FunctionalGraphSummary:
+def _walk_components(the_map, qs: list[int]) -> dict[int, _Part]:
+    """Walk the components qs of the_map: each of at least _BATCH_NODES
+    nodes on its own, the others as one batch."""
+    walked = {q: _array_walk(_successors(the_map, q))[0] for q in qs if q >= _BATCH_NODES}
+    batch = [q for q in qs if q < _BATCH_NODES]
+    if batch:
+        # component q has q nodes
+        starts = np.cumsum([0, *batch[:-1]])
+        succ = np.empty(sum(batch), dtype=np.int64)
+        for q, start in zip(batch, starts.tolist()):
+            block = succ[start : start + q]
+            block[:] = _successors(the_map, q)
+            block += start
+        walked.update(zip(batch, _array_walk(succ, starts)))
+    return walked
+
+
+class _ComponentTable:
+    """The components of one map walked so far: q -> (cycle-length counts,
+    max tail).
+
+    A scan's table serves one run of moduli at a time; run maps each
+    modulus to its components.  The first modulus with a component missing
+    from the table walks every missing component of the run as one batch.
+    """
+
+    def __init__(self) -> None:
+        self.parts: dict[int, _Part] = {}
+        self.run: dict[int, list[int]] = {}
+
+    def parts_of(self, the_map, modulus: int) -> list[_Part]:
+        components = self.run.get(modulus) or _components(the_map, modulus)
+        parts = self.parts
+        if any(q not in parts for q in components):
+            missing = dict.fromkeys(
+                q for qs in (components, *self.run.values()) for q in qs if q not in parts
+            )
+            parts.update(_walk_components(the_map, list(missing)))
+        return [parts[q] for q in components]
+
+
+def functional_graph(
+    the_map, modulus: int, *, table: _ComponentTable | None = None
+) -> FunctionalGraphSummary:
     """Measure the functional graph of the_map on Z_modulus.
 
     A PowerMap or QuadMap is measured on each prime-power factor of the
     modulus and the components are combined (see the module docstring), so
     the cost follows the largest prime-power factor.  Any other callable
-    is walked over the whole ring.
+    is walked over the whole ring.  A scan passes its component table, so
+    that each component is walked once for the whole scan; without one,
+    the call walks its own components as one batch.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    if isinstance(the_map, (PowerMap, QuadMap)):
-        components = _prime_powers(modulus)
-    else:
-        components = [modulus]
+    if table is None:
+        table = _ComponentTable()
+    parts = table.parts_of(the_map, modulus)
     counts = {1: 1}
     max_tail = 0
-    for q in components:
-        succ = _successors(the_map, q)
-        part, tail = _array_walk(succ) if q >= _ARRAY_WALK_MIN else _walk(succ.tolist())
+    for part, tail in parts:
         combined: dict[int, int] = {}
         for l1, n1 in counts.items():
             for l2, n2 in part.items():
@@ -342,18 +405,51 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
     return " ".join(str(f) for f in fields) + "\n"
 
 
-def ordered_map(fn: Callable, items: Sequence, workers: int) -> Iterator:
+def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
     """Yield fn(item) for each item, in input order.
 
     With more than one worker and more than one item, a process pool does
-    the calls (fn and the items must pickle); otherwise they run here.
+    the calls (fn and the items must pickle); otherwise they run here, and
+    each item is drawn only when its result is asked for.
     """
-    if workers > 1 and len(items) > 1:
-        chunk = max(1, len(items) // (workers * 8))
-        with multiprocessing.Pool(workers) as pool:
-            yield from pool.imap(fn, items, chunksize=chunk)
-    else:
-        yield from map(fn, items)
+    if workers > 1:
+        items = list(items)
+        if len(items) > 1:
+            chunk = max(1, len(items) // (workers * 8))
+            with multiprocessing.Pool(workers) as pool:
+                yield from pool.imap(fn, items, chunksize=chunk)
+            return
+    yield from map(fn, items)
+
+
+def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
+    """Cut the ascending moduli into runs, each mapping its moduli to their
+    components, so that the components no earlier run has hold at most
+    _BATCH_NODES nodes per run; a run goes over only with its first
+    modulus."""
+    run: dict[int, list[int]] = {}
+    seen: set[int] = set()
+    nodes = 0
+    for m in moduli:
+        components = _components(the_map, m)
+        new = [q for q in components if q not in seen]
+        size = sum(new)
+        if run and new and nodes + size > _BATCH_NODES:
+            yield run
+            run, nodes = {}, 0
+        seen.update(new)
+        nodes += size
+        run[m] = components
+    if run:
+        yield run
+
+
+def _scan_run(
+    the_map, table: _ComponentTable, run: dict[int, list[int]]
+) -> list[FunctionalGraphSummary]:
+    """The summaries of one run of moduli, walked through table."""
+    table.run = run
+    return [functional_graph(the_map, m, table=table) for m in run]
 
 
 def max_cycle_scan(
@@ -362,10 +458,19 @@ def max_cycle_scan(
     """Iterate functional_graph(the_map, M) for each modulus M, ascending.
 
     Moduli below 2 are refused by this call itself, before any summary is
-    asked for.  Worker processes split the moduli; summaries are still
-    yielded in order.
+    asked for.  The scan walks each component once, in batches (see the
+    module docstring); worker processes split the runs of moduli, each
+    with its own table, and summaries are still yielded in order.
     """
     moduli = sorted(set(moduli))
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    return ordered_map(partial(functional_graph, the_map), moduli, workers)
+    return _scan(the_map, moduli, workers)
+
+
+def _scan(the_map, moduli: list[int], workers: int) -> Iterator[FunctionalGraphSummary]:
+    # built at the first summary asked for, and dropped with the iterator
+    table = _ComponentTable()
+    runs = _runs(the_map, moduli)
+    for summaries in ordered_map(partial(_scan_run, the_map, table), runs, workers):
+        yield from summaries

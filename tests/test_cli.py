@@ -425,7 +425,9 @@ def test_modscan_resume_skips_checkpointed_moduli(monkeypatch, tmp_path):
     walked = []
     real = modular_module.functional_graph
     monkeypatch.setattr(
-        modular_module, "functional_graph", lambda f, m: walked.append(m) or real(f, m)
+        modular_module,
+        "functional_graph",
+        lambda f, m, **kw: walked.append(m) or real(f, m, **kw),
     )
     assert main(scan + ["--M", "2..30"]) == 0
     assert walked == list(range(21, 31))

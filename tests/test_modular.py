@@ -61,7 +61,7 @@ def test_functional_graph_accepts_plain_callables():
         got = functional_graph(rotate, modulus)
         assert got == naive_graph_oracle(rotate, modulus)
         assert (got.cycle_lengths, got.max_tail_length) == ((modulus,), 0)
-    # above the array-walk cut: the longest pointer doubling
+    # a component walked alone: the longest pointer doubling
     got = functional_graph(rotate, 2**15)
     assert (got.cycle_lengths, got.max_tail_length) == ((2**15,), 0)
 
@@ -105,15 +105,16 @@ def test_deep_tail_matches_naive_oracle():
         got = functional_graph(step_down, modulus)
         assert got == naive_graph_oracle(step_down, modulus)
         assert (got.cycle_lengths, got.max_tail_length) == ((1,), modulus - 1)
-    # above the array-walk cut: one node peeled per round, M - 1 rounds
+    # a component walked alone: one node peeled per round, M - 1 rounds
     got = functional_graph(step_down, 2**14 + 1)
     assert (got.cycle_lengths, got.max_tail_length) == ((1,), 2**14)
 
 
 @st.composite
 def successor_tables(draw):
-    """A random function or permutation of range(n), some with planted self-loops."""
-    n = draw(st.integers(1, 2000))
+    """A random function or permutation of range(n), n >= 2 like every
+    component, some with planted self-loops."""
+    n = draw(st.integers(2, 150))
     rnd = draw(st.randoms(use_true_random=False))
     kind = draw(st.sampled_from(["function", "permutation", "self-loops"]))
     if kind == "permutation":
@@ -127,10 +128,24 @@ def successor_tables(draw):
     return succ
 
 
-@settings(max_examples=100, deadline=None)
-@given(succ=successor_tables())
-def test_array_walk_matches_list_walk(succ):
-    assert modular._array_walk(np.array(succ, dtype=np.int64)) == modular._walk(succ)
+def _oracle_part(succ):
+    """(cycle-length counts, max tail) of x -> succ[x], from naive_graph_oracle."""
+    summary = naive_graph_oracle(succ.__getitem__, len(succ))
+    counts = {}
+    for length in summary.cycle_lengths:
+        counts[length] = counts.get(length, 0) + 1
+    return counts, summary.max_tail_length
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=st.lists(successor_tables(), min_size=1, max_size=6))
+def test_batched_walk_matches_naive_oracle(tables):
+    expected = [_oracle_part(succ) for succ in tables]
+    starts = np.cumsum([0] + [len(succ) for succ in tables[:-1]])
+    batch = np.concatenate([np.array(succ, dtype=np.int64) + s for succ, s in zip(tables, starts)])
+    assert modular._array_walk(batch, starts) == expected
+    # each table alone, as a component of at least _BATCH_NODES nodes is
+    assert [modular._array_walk(np.array(succ, dtype=np.int64))[0] for succ in tables] == expected
 
 
 integer_maps = st.one_of(
@@ -198,15 +213,17 @@ GOLDEN_GRAPH_MODULI = (
 GOLDEN_GRAPH_DIGEST = "6b97a5264d28f14434ec670fe0682d10d51d40d2e4e512f24c92acb74e2dca0f"
 
 
-def test_functional_graph_golden_digest(monkeypatch):
-    # every component through the array walk, then every one through the list walk
-    for cut in (2, 30031):
-        monkeypatch.setattr(modular, "_ARRAY_WALK_MIN", cut)
+def test_functional_graph_golden_digest():
+    # one call per modulus, then one scan per map through its component table
+    for scan in (
+        lambda the_map: (functional_graph(the_map, m) for m in GOLDEN_GRAPH_MODULI),
+        lambda the_map: max_cycle_scan(the_map, GOLDEN_GRAPH_MODULI),
+    ):
         digest = hashlib.sha256()
         for the_map in GOLDEN_GRAPH_MAPS:
-            for modulus in GOLDEN_GRAPH_MODULI:
-                digest.update(repr(functional_graph(the_map, modulus)).encode())
-        assert digest.hexdigest() == GOLDEN_GRAPH_DIGEST, cut
+            for summary in scan(the_map):
+                digest.update(repr(summary).encode())
+        assert digest.hexdigest() == GOLDEN_GRAPH_DIGEST
 
 
 def test_big_int_fallback_matches_vectorized_path(monkeypatch):
@@ -327,8 +344,45 @@ def test_scan_empty_range_yields_nothing():
 
 
 def test_scan_parallel_matches_serial():
-    serial = list(max_cycle_scan(PowerMap(2, 1), range(2, 80)))
-    assert serial == list(max_cycle_scan(PowerMap(2, 1), range(2, 80), workers=3))
+    moduli = range(2, 700)
+    assert len(list(modular._runs(PowerMap(2, 1), moduli))) > 1  # the pool has runs to share
+    serial = list(max_cycle_scan(PowerMap(2, 1), moduli))
+    assert serial == list(max_cycle_scan(PowerMap(2, 1), moduli, workers=3))
+
+
+def test_scan_in_one_run_starts_no_pool(monkeypatch):
+    moduli = range(2, 80)
+    assert len(list(modular._runs(PowerMap(2, 1), moduli))) == 1
+    serial = list(max_cycle_scan(PowerMap(2, 1), moduli))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(modular.multiprocessing, "Pool", no_pool)
+    assert list(max_cycle_scan(PowerMap(2, 1), moduli, workers=3)) == serial
+
+
+def _prime_powers_upto(limit):
+    """The prime powers p**e <= limit, e >= 1, ascending."""
+    found = []
+    for p in range(2, limit + 1):
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            q = p
+            while q <= limit:
+                found.append(q)
+                q *= p
+    return sorted(found)
+
+
+def test_scan_walks_each_prime_power_once_per_call(monkeypatch):
+    walked = []
+    real = modular._successors
+    monkeypatch.setattr(modular, "_successors", lambda f, q: walked.append(q) or real(f, q))
+    for _ in range(2):  # no table outlives its scan
+        walked.clear()
+        summaries = list(max_cycle_scan(PowerMap(2, 1), range(2, 1201)))
+        assert len(summaries) == 1199
+        assert sorted(walked) == _prime_powers_upto(1200)
 
 
 def test_scan_deduplicates_and_sorts_moduli():
