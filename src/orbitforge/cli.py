@@ -18,10 +18,10 @@ Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2.  --format lists exactly the formats a subcommand renders, the
 first being the default: bounds takes table, json, csv or svg, modscan only
 csv, every other subcommand table or json.  --cap belongs to orbit alone.
-Every subcommand takes --out (write there instead of stdout).  --workers
-(processes; default 1, refused below 1) belongs to oracle and modscan, which
-read it, and to bounds, which checks it the same way and then ignores it
-because perfbench passes it to every subcommand it runs.
+Every subcommand takes --out (write there instead of stdout).  oracle,
+bounds and modscan take --workers N and refuse N < 1 (exit 2), but no
+handler reads it: every command runs in one process, and the option stays
+only because perfbench passes it to every command it runs.
 
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
@@ -63,7 +63,6 @@ from .modular import (
     checkpoint_line,
     map_params,
     max_cycle_scan,
-    ordered_map,
     read_checkpoint,
 )
 from .oracle import cross_check, escape_bound, iterate_with_escape
@@ -116,10 +115,16 @@ def _build_map(family: str, params: list[int]):
     return QuadMap(params[0], params[1], params[2])
 
 
-def _workers(args) -> int:
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
-    return args.workers
+def _worker_count(text: str) -> int:
+    """Check a --workers value, which no handler reads (see the module
+    docstring)."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return count
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -246,11 +251,6 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _oracle_task(the_map) -> tuple[str, bool, str]:
-    report = cross_check(the_map)
-    return _map_label(the_map), report.agree, report.diff
-
-
 def _oracle_command(the_map) -> str:
     """The one-map oracle run that reproduces a disagreement on the_map."""
     if isinstance(the_map, PowerMap):
@@ -279,13 +279,14 @@ def cmd_oracle(args) -> int:
             raise ValueError("grid contains no valid quadratics")
     disagreements: list[dict] = []
     lines: list[str] = []
-    results = ordered_map(_oracle_task, maps, _workers(args))
-    for the_map, (label, agree, diff) in zip(maps, results):
+    for the_map in maps:
+        report = cross_check(the_map)
+        label = _map_label(the_map)
         verdict = "agree"
-        if not agree:
+        if not report.agree:
             command = _oracle_command(the_map)
-            disagreements.append({"map": label, "diff": diff, "reproduce": command})
-            verdict = f"DISAGREE: {diff} (reproduce: {command})"
+            disagreements.append({"map": label, "diff": report.diff, "reproduce": command})
+            verdict = f"DISAGREE: {report.diff} (reproduce: {command})"
         if args.format == "table":
             lines.append(f"{label}: {verdict}")
     if args.format == "json":
@@ -426,7 +427,6 @@ def cmd_bounds(args) -> int:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and args.digits > limit:
         raise ValueError(f"digits must be <= {limit}, the int-to-str conversion limit")
-    _workers(args)  # checked like oracle's and modscan's, then ignored
     rows = _bounds_rows(args.k, args.digits, args.odd_linear)
     if args.format == "svg":
         _emit(_bounds_svg(rows), args.out)
@@ -492,9 +492,8 @@ def cmd_modscan(args) -> int:
     if args.stride < 1:
         raise ValueError("stride must be >= 1")
     moduli = sorted(set(args.M))[:: args.stride]
-    workers = _workers(args)
     # refuses bad moduli in the whole grid before any file is touched
-    summaries = max_cycle_scan(the_map, moduli, workers=workers)
+    summaries = max_cycle_scan(the_map, moduli)
     ck, resume = args.checkpoint, False
     if ck is not None and ck.exists():
         done = read_checkpoint(ck, the_map)  # may raise CheckpointError
@@ -502,7 +501,7 @@ def cmd_modscan(args) -> int:
             resume = _cut_csv(args.out, done)
         if resume:
             _cut_torn_line(ck)
-            summaries = max_cycle_scan(the_map, [m for m in moduli if m > done], workers=workers)
+            summaries = max_cycle_scan(the_map, [m for m in moduli if m > done])
     # without a CSV to extend, a checkpoint is overwritten: the scan restarts
     mode = "a" if resume else "w"
     params = map_params(the_map)
@@ -635,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_grid, default=None)
     p.add_argument("--b", type=_grid, default=None)
     p.add_argument("--c", type=_grid, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count)
 
     p = command("bounds", cmd_bounds, "landmark curves", ("table", "json", "csv", "svg"))
     p.add_argument("--k", type=_grid, required=True)
@@ -646,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate the family x^2 - (k - 1/4), the normal form of quadratics "
         "with odd linear coefficient; marks k = j^2 and k = j^2 + 1",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count)
 
     p = command("modscan", cmd_modscan, "cycle survey over Z_M", ("csv",))
     p.add_argument("family", choices=("power", "quad"))
@@ -654,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_grid, required=True)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--checkpoint", type=Path, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_worker_count)
 
     p = command("latticecheck", cmd_latticecheck, "lattice stability of a rational polynomial")
     p.add_argument("coeffs", nargs="+", type=_rational, help="constant term first")

@@ -34,16 +34,11 @@ node in the peel and no block lookup.  A call for one modulus walks its
 own components as one batch.  max_cycle_scan keeps one component table
 for the whole call, so each component is walked once per scan, and cuts
 the moduli into runs whose new components fill one batch; the first
-modulus of a run walks the run's batch.
+modulus of a run walks the run's batch.  A run is cut only when its first
+summary is asked for.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
-
-ordered_map is the one place that spreads work over worker processes (the
-oracle grids and max_cycle_scan both use it); results come back in input
-order whatever the number of workers.  A scan hands it runs, not moduli,
-and a scan of one run starts no pool; each worker task keeps its own
-component table.
 
 This module owns the checkpoint format (map_params, checkpoint_line,
 read_checkpoint); the modscan command in the CLI owns the resume protocol
@@ -52,12 +47,10 @@ that writes and reads it.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from functools import partial
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -71,7 +64,6 @@ __all__ = [
     "naive_graph_oracle",
     "max_cycle_scan",
     "map_params",
-    "ordered_map",
     "read_checkpoint",
 ]
 
@@ -405,23 +397,6 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
     return " ".join(str(f) for f in fields) + "\n"
 
 
-def ordered_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    """Yield fn(item) for each item, in input order.
-
-    With more than one worker and more than one item, a process pool does
-    the calls (fn and the items must pickle); otherwise they run here, and
-    each item is drawn only when its result is asked for.
-    """
-    if workers > 1:
-        items = list(items)
-        if len(items) > 1:
-            chunk = max(1, len(items) // (workers * 8))
-            with multiprocessing.Pool(workers) as pool:
-                yield from pool.imap(fn, items, chunksize=chunk)
-            return
-    yield from map(fn, items)
-
-
 def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
     """Cut the ascending moduli into runs, each mapping its moduli to their
     components, so that the components no earlier run has hold at most
@@ -444,33 +419,23 @@ def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
         yield run
 
 
-def _scan_run(
-    the_map, table: _ComponentTable, run: dict[int, list[int]]
-) -> list[FunctionalGraphSummary]:
-    """The summaries of one run of moduli, walked through table."""
-    table.run = run
-    return [functional_graph(the_map, m, table=table) for m in run]
-
-
-def max_cycle_scan(
-    the_map, moduli: Iterable[int], *, workers: int = 1
-) -> Iterator[FunctionalGraphSummary]:
+def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSummary]:
     """Iterate functional_graph(the_map, M) for each modulus M, ascending.
 
     Moduli below 2 are refused by this call itself, before any summary is
     asked for.  The scan walks each component once, in batches (see the
-    module docstring); worker processes split the runs of moduli, each
-    with its own table, and summaries are still yielded in order.
+    module docstring).
     """
     moduli = sorted(set(moduli))
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be >= 2")
-    return _scan(the_map, moduli, workers)
+    return _scan(the_map, moduli)
 
 
-def _scan(the_map, moduli: list[int], workers: int) -> Iterator[FunctionalGraphSummary]:
+def _scan(the_map, moduli: list[int]) -> Iterator[FunctionalGraphSummary]:
     # built at the first summary asked for, and dropped with the iterator
     table = _ComponentTable()
-    runs = _runs(the_map, moduli)
-    for summaries in ordered_map(partial(_scan_run, the_map, table), runs, workers):
-        yield from summaries
+    for run in _runs(the_map, moduli):
+        table.run = run
+        for m in run:
+            yield functional_graph(the_map, m, table=table)

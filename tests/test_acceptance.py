@@ -223,7 +223,7 @@ def test_ac08_modular_structure_and_performance(tmp_path):
         # one component, so it still walks a million nodes
         for modulus, expected in [(10**6, (6250, 3, 6254, 6)), (999983, (460, 8, 1248, 1422))]:
             start = time.perf_counter()
-            rows = list(max_cycle_scan(PowerMap(2, 1), [modulus], workers=4))
+            rows = list(max_cycle_scan(PowerMap(2, 1), [modulus]))
             scan_elapsed = time.perf_counter() - start
             assert scan_elapsed < 5.0, f"scan mod {modulus} took {scan_elapsed:.2f}s"
             summary = rows[0]

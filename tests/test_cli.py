@@ -3,7 +3,9 @@
 import hashlib
 import json
 import shlex
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -704,3 +706,27 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
         entrypoint()
     assert exc.value.code == 0
     assert "fixed points: -2, 3" in capsys.readouterr().out
+
+
+def test_workers_flag_starts_no_process(tmp_path):
+    # --workers is checked and then ignored: a fresh interpreter running an
+    # oracle grid and a scan of several runs never imports multiprocessing
+    assert len(list(modular_module._runs(PowerMap(2, 1), range(2, 701)))) > 1
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    script = f"""
+import sys
+sys.path.insert(0, {src!r})
+from orbitforge.cli import main
+codes = [
+    main(["oracle", "power", "--m", "2", "--k", "1..40", "--workers", "2",
+          "--out", {str(tmp_path / "oracle.txt")!r}]),
+    main(["modscan", "power", "2", "1", "--M", "2..700", "--workers", "2",
+          "--out", {str(tmp_path / "scan.csv")!r}]),
+]
+print(codes, "multiprocessing" in sys.modules)
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"

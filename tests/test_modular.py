@@ -343,25 +343,6 @@ def test_scan_empty_range_yields_nothing():
     assert list(max_cycle_scan(PowerMap(2, 1), [])) == []
 
 
-def test_scan_parallel_matches_serial():
-    moduli = range(2, 700)
-    assert len(list(modular._runs(PowerMap(2, 1), moduli))) > 1  # the pool has runs to share
-    serial = list(max_cycle_scan(PowerMap(2, 1), moduli))
-    assert serial == list(max_cycle_scan(PowerMap(2, 1), moduli, workers=3))
-
-
-def test_scan_in_one_run_starts_no_pool(monkeypatch):
-    moduli = range(2, 80)
-    assert len(list(modular._runs(PowerMap(2, 1), moduli))) == 1
-    serial = list(max_cycle_scan(PowerMap(2, 1), moduli))
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(modular.multiprocessing, "Pool", no_pool)
-    assert list(max_cycle_scan(PowerMap(2, 1), moduli, workers=3)) == serial
-
-
 def _prime_powers_upto(limit):
     """The prime powers p**e <= limit, e >= 1, ascending."""
     found = []
