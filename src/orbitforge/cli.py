@@ -12,7 +12,9 @@ conjugate     normal-form reduction of an integer quadratic
 
 Exit codes: 0 success (and agreement), 1 verified disagreement (anomaly),
 2 usage error, 3 I/O or checkpoint failure.  Every oracle disagreement names
-the one-map oracle command that reproduces it.
+the one-map oracle command that reproduces it.  oracle refuses a grid with
+any map whose escape window holds more than oracle.WINDOW_LIMIT seeds
+(exit 2) before it builds anything.
 
 Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2.  --format lists exactly the formats a subcommand renders, the
@@ -65,7 +67,7 @@ from .modular import (
     max_cycle_scan,
     read_checkpoint,
 )
-from .oracle import cross_check, escape_bound, iterate_with_escape
+from .oracle import cross_check, escape_bound, iterate_with_escape, window_cycles
 
 __all__ = ["main", "entrypoint", "parse_grid", "render_classification_json"]
 
@@ -279,8 +281,10 @@ def cmd_oracle(args) -> int:
             raise ValueError("grid contains no valid quadratics")
     disagreements: list[dict] = []
     lines: list[str] = []
-    for the_map in maps:
-        report = cross_check(the_map)
+    # the whole grid goes through one window_cycles call, then each map is
+    # compared on its own
+    for the_map, observed in zip(maps, window_cycles(maps)):
+        report = cross_check(the_map, observed)
         label = _map_label(the_map)
         verdict = "agree"
         if not report.agree:

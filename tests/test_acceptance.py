@@ -1,7 +1,9 @@
-"""Acceptance gate: ten end-to-end criteria, one printed verdict line each.
+"""Acceptance gate: ten end-to-end criteria and a wider oracle gate, one
+printed verdict line each.
 
-Every test prints exactly one line, "ACn: PASS (...)" or "ACn: FAIL (...)",
-carrying the tolerance in force and the measured runtime against its budget.
+Every test prints exactly one line, "ACn: PASS (...)" or "ACn: FAIL (...)"
+(AC10b for the wider gate), carrying the tolerance in force and the
+measured runtime against its budget.
 Run with `pytest -rA` (or `-s`) to see the lines.
 """
 
@@ -270,3 +272,14 @@ def test_ac10_cli_anomaly_gate(capsys):
             assert rc == 0, grid
             assert payload["disagreements"] == []
             assert payload["checked"] == payload["agree"] > 0
+
+
+def test_ac10b_wide_degree_two_gate(capsys):
+    # AC10's degree-2 grid carried on to k = 10**5: more evidence for "no
+    # period above 2", in one window graph per batch of maps
+    with criterion("AC10b", 30.0, "exit code 0 and zero disagreements"):
+        rc = cli_main(["oracle", "power", "--m", "2", "--k=5001..100000", "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["disagreements"] == []
+        assert payload["checked"] == payload["agree"] == 95000

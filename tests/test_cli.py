@@ -190,6 +190,28 @@ def test_oracle_usage_errors():
     assert main(["oracle", "power", "--m", "2", "--k", "1..5", "--workers", "0"]) == 2
 
 
+def test_oracle_refuses_an_oversized_window(monkeypatch, capsys):
+    # refused before any window graph is built: x**2 - 10**40 has a window
+    # of about 2*10**20 seeds
+    def built(batch):
+        raise AssertionError("a window graph was built")
+
+    monkeypatch.setattr(oracle_module, "_window_graph", built)
+    assert main(["oracle", "power", "--m", "2", "--k=1..3,1" + "0" * 40]) == 2
+    err = capsys.readouterr().err
+    assert f"limit of {oracle_module.WINDOW_LIMIT}" in err
+    assert "PowerMap(degree=2, shift=1" + "0" * 40 + ")" in err
+
+
+def test_oracle_computes_one_escape_bound_per_map(monkeypatch, capsys):
+    calls = []
+    real = oracle_module.escape_bound
+    monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
+    assert main(["oracle", "quad", "--a=1..2", "--b=-1..1", "--c=-9..9", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checked"] == len(calls) == 2 * 3 * 19
+    assert len(set(calls)) == len(calls)
+
+
 def test_oracle_disagreement_exits_one(monkeypatch, capsys):
     # plant a wrong prediction: the gate must trip and report it
     from orbitforge.classify import classify_power

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitforge.cli as cli_module
 from orbitforge.classify import Cycle, OrbitClassification, classify_power, classify_quad
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly
 from orbitforge import oracle as oracle_module
 from orbitforge.oracle import (
+    WINDOW_LIMIT,
     cross_check,
     escape_bound,
     escape_is_sound,
     iterate_with_escape,
     oracle_cycles,
+    window_cycles,
 )
 
 nonzero_ints = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
@@ -302,3 +305,122 @@ def test_oracle_cycles_computes_one_bound_per_map(monkeypatch):
     the_map = PowerMap(2, 3000)
     oracle_cycles(the_map)
     assert calls == [the_map]
+
+
+def test_oracle_cycles_is_a_one_map_window_cycles():
+    maps = [PowerMap(m, k) for m in (1, 2, 3, 6) for k in range(-40, 41)]
+    assert window_cycles(maps) == [oracle_cycles(m) for m in maps]
+    assert window_cycles([]) == []
+
+
+def test_window_cycles_spans_batches():
+    # ~600 seeds a window: the grid fills several batches
+    maps = [PowerMap(2, k) for k in range(90000, 90100)]
+    assert sum(2 * escape_bound(m).bound + 1 for m in maps) > 3 * oracle_module._BATCH_NODES
+    assert window_cycles(maps) == [_harvest_by_trace(m) for m in maps]
+
+
+def test_window_cycles_across_the_int64_fence(monkeypatch):
+    # maps whose values pass 2**62 are evaluated with Python ints, maps just
+    # below it in int64; all share one batch with small maps between them,
+    # and then go through the default batching
+    fast = [
+        PowerMap(9, 2**60),  # bound 103, values to ~2**60.2
+        QuadMap(2**59, 0, -(2**59)),  # bound 2: 5 * 2**59
+    ]
+    python_ints = [
+        QuadMap(2**62, 0, -(2**62)),  # window [-2, 2], f(2) = 3 * 2**62
+        QuadMap(-(2**62), 1, 2**62),  # fixed points -1 and 1
+        QuadMap(2**60, 0, -(2**60)),
+        PowerMap(7, 2**62),
+        PowerMap(5, -(2**62)),
+        PowerMap(64, 0),  # degree 62 and up: window {-1, 0, 1}
+    ]
+    small = [PowerMap(2, 6), QuadMap(1, 2, -7), PowerMap(2, 7), QuadMap(1, 1, -2), PowerMap(6, 1)]
+    maps = [
+        small[0], python_ints[0], fast[0], small[1], python_ints[1], python_ints[2],
+        small[2], fast[1], python_ints[3], small[3], python_ints[4], small[4], python_ints[5],
+    ]
+    bounds = {m: escape_bound(m).bound for m in maps}
+    assert bounds[python_ints[0]] == 2
+    for m in fast + small:
+        assert oracle_module._int64_form(m, bounds[m]) is not None, m
+    for m in python_ints:
+        assert oracle_module._int64_form(m, bounds[m]) is None, m
+    expected = [_harvest_by_trace(m) for m in maps]
+    assert expected[4].fixed_points == (-1, 1)
+    assert window_cycles(maps) == expected
+    batches = []
+    real = oracle_module._batch_cycles
+    monkeypatch.setattr(oracle_module, "_batch_cycles", lambda b: batches.append(b) or real(b))
+    monkeypatch.setattr(oracle_module, "_BATCH_NODES", sum(2 * b + 1 for b in bounds.values()))
+    assert window_cycles(maps) == expected
+    assert len(batches) == 1
+
+
+class _Planted(PowerMap):
+    """x**2 - 20 with the 3-cycle 1 -> 3 -> 2 -> 1 planted in its window
+    [-5, 5]; every other shift is left alone."""
+
+    def __call__(self, x):
+        if self.shift == 20 and x in (1, 2, 3):
+            return {1: 3, 3: 2, 2: 1}[x]
+        return super().__call__(x)
+
+
+def test_planted_three_cycle_is_reported(monkeypatch, capsys):
+    # the planted map is called seed by seed, between blocks evaluated in int64
+    maps = [PowerMap(2, k) for k in range(10, 20)] + [_Planted(2, 20)]
+    maps += [PowerMap(2, k) for k in range(21, 31)]
+    got = window_cycles(maps)
+    planted = got[10]
+    assert planted.higher_cycles == (Cycle(3, (1, 3, 2)),)
+    assert planted.fixed_points == (-4, 5)
+    assert got[:10] + got[11:] == [oracle_cycles(m) for m in maps[:10] + maps[11:]]
+    report = cross_check(_Planted(2, 20), planted)
+    assert not report.agree
+    assert report.diff.startswith("anomaly: cycles of period > 2")
+    # the gate trips on it, and names the one-map run that shows it again
+    monkeypatch.setattr(cli_module, "PowerMap", _Planted)
+    assert cli_module.main(["oracle", "power", "--m", "2", "--k=10..30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "checked 21 maps: 1 disagreements"
+    (line,) = [line for line in lines if "DISAGREE" in line]
+    assert line.startswith("power degree=2 shift=20: DISAGREE: anomaly: cycles of period > 2")
+    assert line.endswith("(reproduce: orbitforge oracle power --m 2 --k=20)")
+
+
+def test_window_confirmation_refuses_a_graph_the_map_contradicts(monkeypatch):
+    # a window graph that keeps a seed the exact walk sends out of the window
+    real = oracle_module._window_graph
+
+    def forged(batch):
+        succ, zeros, ends = real(batch)
+        succ[int(zeros[0])] = int(zeros[0])  # seed 0 made fixed
+        return succ, zeros, ends
+
+    monkeypatch.setattr(oracle_module, "_window_graph", forged)
+    with pytest.raises(RuntimeError, match="does not close"):
+        window_cycles([PowerMap(2, 7)])
+
+
+def test_oversized_window_is_refused_before_any_graph(monkeypatch):
+    def built(batch):
+        raise AssertionError("a window graph was built")
+
+    monkeypatch.setattr(oracle_module, "_window_graph", built)
+    # degree 1 has a window of 2|k| + 5 seeds: one over the limit here
+    over = PowerMap(1, (WINDOW_LIMIT - 4) // 2)
+    assert 2 * escape_bound(over).bound + 1 == WINDOW_LIMIT + 1
+    with pytest.raises(ValueError, match=f"limit of {WINDOW_LIMIT}"):
+        oracle_cycles(over)
+    # one bad map refuses its whole grid
+    with pytest.raises(ValueError, match=f"limit of {WINDOW_LIMIT}"):
+        window_cycles([PowerMap(2, 5), PowerMap(2, 10**40)])
+
+
+def test_window_limit_admits_a_window_of_its_size(monkeypatch):
+    monkeypatch.setattr(oracle_module, "WINDOW_LIMIT", 5)
+    assert oracle_cycles(PowerMap(1, 0)).fixed_points == (-2, -1, 0, 1, 2)
+    with pytest.raises(ValueError, match="limit of 5"):
+        oracle_cycles(PowerMap(1, 1))
