@@ -21,19 +21,19 @@ longest tail, a node at distance d from its cycle has h <= T - d, and the
 node next to the cycle on a longest tail has h = T - 1, so the peel takes
 exactly T rounds.  The survivors are the cycle nodes, and min-label
 pointer doubling gives each one its cycle's least node, whose label
-counts are the cycle lengths.  The oracle's window graph shares the peel
-(_peel).
+counts are the cycle lengths.
 
 A round costs numpy tens of microseconds whatever its size, more than a
-small component's whole work, so small components are walked many at a
-time: their tables are laid end to end as the blocks of one graph, each
-offset by its start, and one walk serves them all.  Each node records its
-peel round, so a block's longest tail is its highest round; a cycle's
-block is found from its least node.  A batch holds at most _BATCH_NODES
-nodes; a component that large is walked on its own, with one bit per
-node in the peel and no block lookup.  A call for one modulus walks its
-own components as one batch.  max_cycle_scan keeps one component table
-for the whole call, so each component is walked once per scan, and cuts
+small graph's whole work, so small graphs are peeled many at a time: their
+tables are laid end to end as the blocks of one graph, each offset by its
+start.  This module owns that block-graph layer, which the oracle's escape
+windows share: peel, the batcher batches, and _BATCH_NODES, one node
+budget for both callers.  Each node records its peel round, so a block's
+longest tail is its highest round; a cycle's block is found from its least
+node.  A component of _BATCH_NODES nodes or more is walked alone, with one
+bit per node in the peel and no block lookup.  A call for one modulus walks
+its own components as one batch.  max_cycle_scan keeps one component table
+for the whole call, so each component is walked once per scan, and batches
 the moduli into runs whose new components fill one batch; the first
 modulus of a run walks the run's batch.  A run is cut only when its first
 summary is asked for.
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,9 +70,11 @@ __all__ = [
 
 # above this modulus, residue products no longer fit in int64
 _NUMPY_LIMIT = 1 << 31
-# node budget of one batched walk; a component this large is walked alone.
-# A larger budget spreads numpy's per-round cost over more components and
-# holds more memory at once; 2**13 ran modscan-many about 15% slower.
+# node budget of one list from batches, for modscan's components and the
+# oracle's windows alike; a component this large is walked alone.  A larger
+# budget spreads numpy's per-round cost over more graphs and holds more
+# memory at once.  At 2**13, modscan-many ran about 15% slower, and
+# oracle-gate read peak_rss_mib 36.71 against 37.11 at 2**14, wall_s alike.
 _BATCH_NODES = 1 << 14
 
 
@@ -153,7 +155,24 @@ def _components(the_map, modulus: int) -> list[int]:
 _Part = tuple[dict[int, int], int]  # a component's cycle-length counts and max tail
 
 
-def _peel(succ: np.ndarray, dtype) -> tuple[np.ndarray, int]:
+def batches(items: Iterable, size: Callable[..., int]) -> Iterator[list]:
+    """Cut items, in order, into lists of at most _BATCH_NODES nodes, each
+    item's count from size, called once.  Only its first item takes a list
+    over the budget, and no list but the first starts with a size-0 item."""
+    batch: list = []
+    nodes = 0
+    for item in items:
+        n = size(item)
+        if batch and n and nodes + n > _BATCH_NODES:
+            yield batch
+            batch, nodes = [], 0
+        batch.append(item)
+        nodes += n
+    if batch:
+        yield batch
+
+
+def peel(succ: np.ndarray, dtype) -> tuple[np.ndarray, int]:
     """Peel the graph x -> succ[x] down to its cycles, round by round (see
     the module docstring).  Returns level, of dtype, with level[x] the
     round that peels x, 0 (False) on a cycle, and the number of rounds.
@@ -186,11 +205,12 @@ def _array_walk(succ: np.ndarray, starts: np.ndarray | None = None) -> list[_Par
 
     With starts, succ holds several graphs as blocks, block b at nodes
     starts[b] on, and the result is one pair per block.  A single graph
-    keeps one bit per node in the peel and looks no block up.
+    keeps one bit per node in the peel and looks no block up: walked as a
+    batch of one block instead, modscan-large read wall_s 0.1615 against
+    0.158 s, slower in 5 of 5 pairs, and peak_rss_mib 47.5 against 47.0.
     """
     n = len(succ)
-    # a single graph keeps only whether each node was peeled
-    level, rounds = _peel(succ, bool if starts is None else np.int32)
+    level, rounds = peel(succ, bool if starts is None else np.int32)
     if starts is not None:
         tails = np.maximum.reduceat(level, starts).tolist()
     # number the cycle nodes 0..k-1
@@ -410,24 +430,16 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
 
 def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
     """Cut the ascending moduli into runs, each mapping its moduli to their
-    components, so that the components no earlier run has hold at most
-    _BATCH_NODES nodes per run; a run goes over only with its first
-    modulus."""
-    run: dict[int, list[int]] = {}
+    components, by batches over the components no earlier modulus had."""
     seen: set[int] = set()
-    nodes = 0
-    for m in moduli:
-        components = _components(the_map, m)
-        new = [q for q in components if q not in seen]
-        size = sum(new)
-        if run and new and nodes + size > _BATCH_NODES:
-            yield run
-            run, nodes = {}, 0
+
+    def new_nodes(item: tuple[int, list[int]]) -> int:
+        new = [q for q in item[1] if q not in seen]
         seen.update(new)
-        nodes += size
-        run[m] = components
-    if run:
-        yield run
+        return sum(new)
+
+    for run in batches(((m, _components(the_map, m)) for m in moduli), new_nodes):
+        yield dict(run)
 
 
 def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSummary]:

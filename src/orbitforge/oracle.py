@@ -18,10 +18,10 @@ The oracle computes the window once per map and turns it into a graph: the
 window's 2*bound + 1 seeds are nodes, seed x goes to the node of f(x) when
 |f(x)| <= bound and to a shared sink otherwise.  That is exactly the escape
 rule of iterate_with_escape, whose exception for a point fixed outside the
-window never applies to a seed inside it.  Windows are laid end to end as the blocks of
-one successor array, up to _BATCH_NODES nodes per batch, and the in-degree
-peel that modular uses for functional graphs strips every seed that is not
-on a cycle.  The seeds left, the sink aside, are exactly the window's
+window never applies to a seed inside it.  The windows of a grid are the
+blocks of modular's block-graph layer, which owns the peel, the batcher
+and the node budget of a batch; the peel strips every seed that is not on
+a cycle.  The seeds left, the sink aside, are exactly the window's
 cycles.  f is evaluated in int64, one numpy pass per degree, only where
 every intermediate provably stays below 2**62; any other map is evaluated
 with Python ints.  Each cycle is then walked once with iterate_with_escape
@@ -50,7 +50,7 @@ from .classify import (
     classify_quad,
 )
 from .maps import PowerMap, QuadMap
-from .modular import _peel
+from .modular import batches, peel
 
 __all__ = [
     "EscapeBound",
@@ -69,11 +69,6 @@ __all__ = [
 # up to k = 10**12 fits.  The largest window admitted, x - 1048573 alone,
 # peaked at 207 MiB RSS in 0.3 s (Python 3.11, numpy 2.4, 2-vCPU Xeon).
 WINDOW_LIMIT = 1 << 21
-# node budget of one window-graph batch; a larger window is a batch alone.
-# The batch's temporaries set the oracle's peak memory: held-out oracle-gate
-# read peak_rss_mib 36.3, 36.7 and 36.9 at 2**12, 2**13 and 2**14 (35.5
-# with the per-seed walk), with wall_s alike.
-_BATCH_NODES = 1 << 13
 # every intermediate of an int64 evaluation stays below this
 _INT64_FENCE = 1 << 62
 
@@ -287,7 +282,7 @@ def _confirm(the_map, eb: EscapeBound, survivors: list[int]) -> OrbitClassificat
 def _batch_cycles(batch) -> list[OrbitClassification]:
     """window_cycles of one batch of (map, escape bound) pairs."""
     succ, zeros, ends = _window_graph(batch)
-    peeled, _ = _peel(succ, bool)
+    peeled, _ = peel(succ, bool)
     # the sink, last, loops on itself and is never peeled
     nodes = np.flatnonzero(~peeled[:-1])
     block = np.searchsorted(ends, nodes)
@@ -320,19 +315,11 @@ def window_cycles(maps) -> list[OrbitClassification]:
                 f"the escape window of {the_map} holds {2 * eb.bound + 1} seeds, "
                 f"over the oracle's limit of {WINDOW_LIMIT}"
             )
-    results: list[OrbitClassification] = []
-    batch: list[tuple[object, EscapeBound]] = []
-    nodes = 0
-    for the_map, eb in zip(maps, bounds):
-        size = 2 * eb.bound + 1
-        if batch and nodes + size > _BATCH_NODES:
-            results += _batch_cycles(batch)
-            batch, nodes = [], 0
-        batch.append((the_map, eb))
-        nodes += size
-    if batch:
-        results += _batch_cycles(batch)
-    return results
+    return [
+        cycles
+        for batch in batches(zip(maps, bounds), lambda pair: 2 * pair[1].bound + 1)
+        for cycles in _batch_cycles(batch)
+    ]
 
 
 def oracle_cycles(the_map) -> OrbitClassification:

@@ -23,7 +23,7 @@ from orbitforge.classify import (
 from orbitforge.cli import main as cli_main
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check
 from orbitforge.modular import functional_graph, max_cycle_scan, naive_graph_oracle
-from orbitforge.oracle import cross_check
+from orbitforge.oracle import cross_check, window_cycles
 
 
 @contextmanager
@@ -41,12 +41,19 @@ def criterion(name: str, budget_s: float, tolerance: str):
     assert elapsed < budget_s, f"{name}: runtime {elapsed:.2f}s over budget {budget_s:.0f}s"
 
 
+def grid_reports(maps) -> dict:
+    """cross_check of each map of a grid, in order, fed by one window_cycles
+    call over the whole grid, as the oracle subcommand runs a grid."""
+    maps = list(maps)
+    return {m: cross_check(m, observed) for m, observed in zip(maps, window_cycles(maps))}
+
+
 def test_ac01_degree_two_grid_equivalence():
     # single-threaded sweep; cycles exist exactly at the pronic and
     # pronic-plus-one shifts, nothing of period 3 or more anywhere
     with criterion("AC1", 10.0, "exact"):
-        for k in range(-10, 5001):
-            report = cross_check(PowerMap(2, k))
+        for the_map, report in grid_reports(PowerMap(2, k) for k in range(-10, 5001)).items():
+            k = the_map.shift
             assert report.agree, (k, report.diff)
             observed = report.observed
             hit = solve_pronic(k)
@@ -66,52 +73,55 @@ def test_ac01_degree_two_grid_equivalence():
 
 def test_ac02_even_degree_grid():
     with criterion("AC2", 60.0, "exact"):
-        for m in (4, 6, 8):
-            for k in range(-10, 10001):
-                report = cross_check(PowerMap(m, k))
-                assert report.agree, (m, k, report.diff)
-                observed = report.observed
-                for p in observed.fixed_points:
-                    assert p**m - p == k
-                expected_two = [(-1, 0)] if k == 1 else []
-                assert [c.points for c in observed.two_cycles] == expected_two, (m, k)
-                assert observed.higher_cycles == ()
+        grid = (PowerMap(m, k) for m in (4, 6, 8) for k in range(-10, 10001))
+        for the_map, report in grid_reports(grid).items():
+            m, k = the_map.degree, the_map.shift
+            assert report.agree, (m, k, report.diff)
+            observed = report.observed
+            for p in observed.fixed_points:
+                assert p**m - p == k
+            expected_two = [(-1, 0)] if k == 1 else []
+            assert [c.points for c in observed.two_cycles] == expected_two, (m, k)
+            assert observed.higher_cycles == ()
 
 
 def test_ac03_odd_degree_grid():
     with criterion("AC3", 30.0, "exact"):
-        for m in (3, 5, 7):
-            for k in range(-1000, 1001):
-                report = cross_check(PowerMap(m, k))
-                assert report.agree, (m, k, report.diff)
-                observed = report.observed
-                for p in observed.fixed_points:
-                    assert p**m - p == k
-                assert observed.two_cycles == ()
-                assert observed.higher_cycles == ()
-        assert cross_check(PowerMap(3, 6)).observed.fixed_points == (2,)
+        reports = grid_reports(PowerMap(m, k) for m in (3, 5, 7) for k in range(-1000, 1001))
+        for the_map, report in reports.items():
+            m, k = the_map.degree, the_map.shift
+            assert report.agree, (m, k, report.diff)
+            observed = report.observed
+            for p in observed.fixed_points:
+                assert p**m - p == k
+            assert observed.two_cycles == ()
+            assert observed.higher_cycles == ()
+        assert reports[PowerMap(3, 6)].observed.fixed_points == (2,)
 
 
 def test_ac04_quadratic_grid():
     with criterion("AC4", 120.0, "exact"):
-        for a in range(-3, 4):
-            if a == 0:
-                continue
-            for b in range(-6, 7):
-                for c in range(-60, 61):
-                    report = cross_check(QuadMap(a, b, c))
-                    assert report.agree, (a, b, c, report.diff)
+        grid = (
+            QuadMap(a, b, c)
+            for a in range(-3, 4)
+            if a
+            for b in range(-6, 7)
+            for c in range(-60, 61)
+        )
+        reports = grid_reports(grid)
+        for the_map, report in reports.items():
+            assert report.agree, (the_map.a, the_map.b, the_map.c, report.diff)
         # worked families inside the grid: shifts of the degree-2 story
         for j in range(0, 8):
-            fixed = cross_check(QuadMap(1, 2, -j * (j + 1))).observed
+            fixed = reports[QuadMap(1, 2, -j * (j + 1))].observed
             assert fixed.fixed_points == tuple(sorted((j, -j - 1)))
             assert fixed.two_cycles == ()
-            cyc = cross_check(QuadMap(1, 2, -j * (j + 1) - 1)).observed
+            cyc = reports[QuadMap(1, 2, -j * (j + 1) - 1)].observed
             assert cyc.fixed_points == ()
             assert [c.points for c in cyc.two_cycles] == [tuple(sorted((j - 1, -j - 2)))]
-        assert cross_check(QuadMap(-2, 2, 1)).observed.fixed_points == (1,)
-        assert cross_check(QuadMap(1, 1, -1)).observed.fixed_points == (-1, 1)
-        assert [c.points for c in cross_check(QuadMap(1, 1, -2)).observed.two_cycles] == [(-2, 0)]
+        assert reports[QuadMap(-2, 2, 1)].observed.fixed_points == (1,)
+        assert reports[QuadMap(1, 1, -1)].observed.fixed_points == (-1, 1)
+        assert [c.points for c in reports[QuadMap(1, 1, -2)].observed.two_cycles] == [(-2, 0)]
 
 
 def test_ac05_conjugacy_commutation():

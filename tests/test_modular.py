@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitforge.modular as modular
@@ -146,6 +146,31 @@ def test_batched_walk_matches_naive_oracle(tables):
     assert modular._array_walk(batch, starts) == expected
     # each table alone, as a component of at least _BATCH_NODES nodes is
     assert [modular._array_walk(np.array(succ, dtype=np.int64))[0] for succ in tables] == expected
+
+
+@settings(max_examples=200)
+@given(
+    sizes=st.lists(
+        st.one_of(st.just(0), st.integers(1, modular._BATCH_NODES // 3), st.integers(1, 2**15)),
+        max_size=40,
+    )
+)
+@example(sizes=[modular._BATCH_NODES // 2] * 3)  # two items fill a list exactly
+@example(sizes=[2**15, 0, 5])
+def test_batches_cut_in_order_within_the_budget(sizes):
+    calls = []
+    lists = list(modular.batches(range(len(sizes)), lambda i: calls.append(i) or sizes[i]))
+    assert calls == list(range(len(sizes)))
+    assert [i for batch in lists for i in batch] == calls
+    assert all(lists)
+    budget = modular._BATCH_NODES
+    for n, batch in enumerate(lists):
+        total = sum(sizes[i] for i in batch)
+        assert total <= budget or sizes[batch[0]] > budget
+        if n:
+            assert sizes[batch[0]] > 0
+            # no cut comes early: the list before could not take this item
+            assert sum(sizes[i] for i in lists[n - 1]) + sizes[batch[0]] > budget
 
 
 integer_maps = st.one_of(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import orbitforge.cli as cli_module
 from orbitforge.classify import Cycle, OrbitClassification, classify_power, classify_quad
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly
+from orbitforge import modular as modular_module
 from orbitforge import oracle as oracle_module
 from orbitforge.oracle import (
     WINDOW_LIMIT,
@@ -253,16 +254,14 @@ ORACLE_SHA256 = "040e7e1202698cef66dd33516fb0734a870d4411fc87a1bae9e3481a2b14bc3
 def test_oracle_cycles_golden_digest():
     # degree 1 stops at k = 300: its window holds 2|k| + 5 seeds, so the
     # classifier digest's k <= 3000 would scan 9 million of them
+    maps = [PowerMap(m, k) for m in range(1, 9) for k in range(-300, 301 if m == 1 else 3001)]
+    maps += [
+        QuadMap(a, b, c) for a in range(-3, 4) if a for b in range(-6, 7) for c in range(-60, 61)
+    ]
     digest = hashlib.sha256()
-    for m in range(1, 9):
-        for k in range(-300, 301 if m == 1 else 3001):
-            digest.update(repr(oracle_cycles(PowerMap(m, k))).encode())
-    for a in range(-3, 4):
-        if a == 0:
-            continue
-        for b in range(-6, 7):
-            for c in range(-60, 61):
-                digest.update(repr(oracle_cycles(QuadMap(a, b, c))).encode())
+    # one window_cycles call over the grid, as the oracle subcommand makes
+    for observed in window_cycles(maps):
+        digest.update(repr(observed).encode())
     assert digest.hexdigest() == ORACLE_SHA256
 
 
@@ -316,7 +315,7 @@ def test_oracle_cycles_is_a_one_map_window_cycles():
 def test_window_cycles_spans_batches():
     # ~600 seeds a window: the grid fills several batches
     maps = [PowerMap(2, k) for k in range(90000, 90100)]
-    assert sum(2 * escape_bound(m).bound + 1 for m in maps) > 3 * oracle_module._BATCH_NODES
+    assert sum(2 * escape_bound(m).bound + 1 for m in maps) > 3 * modular_module._BATCH_NODES
     assert window_cycles(maps) == [_harvest_by_trace(m) for m in maps]
 
 
@@ -353,7 +352,7 @@ def test_window_cycles_across_the_int64_fence(monkeypatch):
     batches = []
     real = oracle_module._batch_cycles
     monkeypatch.setattr(oracle_module, "_batch_cycles", lambda b: batches.append(b) or real(b))
-    monkeypatch.setattr(oracle_module, "_BATCH_NODES", sum(2 * b + 1 for b in bounds.values()))
+    monkeypatch.setattr(modular_module, "_BATCH_NODES", sum(2 * b + 1 for b in bounds.values()))
     assert window_cycles(maps) == expected
     assert len(batches) == 1
 
