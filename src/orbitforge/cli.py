@@ -17,13 +17,14 @@ any map whose escape window holds more than oracle.WINDOW_LIMIT seeds
 (exit 2) before it builds anything.
 
 Each subcommand declares the options it reads, so argparse refuses the rest
-with exit 2.  --format lists exactly the formats a subcommand renders, the
-first being the default: bounds takes table, json, csv or svg, modscan only
-csv, every other subcommand table or json.  --cap belongs to orbit alone.
-Every subcommand takes --out (write there instead of stdout).  oracle,
-bounds and modscan take --workers N and refuse N < 1 (exit 2), but no
-handler reads it: every command runs in one process, and the option stays
-only because perfbench passes it to every command it runs.
+with exit 2, and oracle refuses the other family's grids.  --format lists
+exactly the formats a subcommand renders, the first being the default:
+bounds takes table, json, csv or svg, modscan only csv, every other
+subcommand table or json.  --cap belongs to orbit alone.  Every subcommand
+takes --out (write there instead of stdout).  oracle, bounds and modscan
+take --workers N and refuse N < 1 (exit 2), but no handler reads it: every
+command runs in one process, and the option stays only because perfbench
+passes it to every command it runs.
 
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
@@ -261,15 +262,14 @@ def _oracle_command(the_map) -> str:
 
 
 def cmd_oracle(args) -> int:
+    grids = "mk" if args.family == "power" else "abc"
+    for name in "mkabc":
+        if (getattr(args, name) is None) == (name in grids):
+            verb = "needs" if name in grids else "does not read"
+            raise ValueError(f"oracle {args.family} {verb} --{name}")
     if args.family == "power":
-        if args.m is None or args.k is None:
-            raise ValueError("oracle power needs --m and --k grids")
-        if any(m < 1 for m in args.m):
-            raise ValueError("degrees must be >= 1")
         maps = [PowerMap(m, k) for m in args.m for k in args.k]
     else:
-        if args.a is None or args.b is None or args.c is None:
-            raise ValueError("oracle quad needs --a, --b and --c grids")
         maps = [
             QuadMap(a, b, c)
             for a in args.a

@@ -49,6 +49,23 @@ class QuadMap:
         return self.a * x * x + self.b * x + self.c
 
 
+def int_coefficients(the_map) -> tuple[int, int, int, int] | None:
+    """(m, a, b, c) with the_map(x) == a*x**m + b*x + c, for an exact
+    PowerMap or QuadMap; None for any other callable, subclasses included,
+    as a subclass may redefine the map.
+
+    This rule decides which maps are evaluated vectorised and split by CRT.
+    escape_bound, cross_check and escape_is_sound keep isinstance: they
+    take a family's bound, classifier and gauge from its declared
+    parameters, so a subclass is checked against its own family.
+    """
+    if type(the_map) is PowerMap:
+        return (the_map.degree, 1, 0, -the_map.shift)
+    if type(the_map) is QuadMap:
+        return (2, the_map.a, the_map.b, the_map.c)
+    return None
+
+
 @dataclass(frozen=True)
 class RationalPoly:
     """Polynomial with rational coefficients, constant term first."""

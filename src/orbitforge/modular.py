@@ -2,19 +2,19 @@
 
 Iterating any map on Z_M yields a functional graph: every node has one
 out-edge, so the graph is a disjoint union of cycles with trees hanging off
-them.  Both map families have integer coefficients, so by the Chinese
-remainder theorem their graph on Z_M is the direct product of their graphs
-on Z_q for the prime powers q exactly dividing M: a cycle of length l1 and
-one of length l2 multiply into gcd(l1, l2) cycles of length lcm(l1, l2),
-and a product node's tail is the longest of its components' tails.  So
-functional_graph measures each prime-power component and combines them;
-its cost follows the largest prime-power factor of M, not M.  Any other
-callable (CRT holds only for integer polynomials) has its whole ring
-walked as one component.
+them.  An exact PowerMap or QuadMap is an integer polynomial, so by the
+Chinese remainder theorem its graph on Z_M is the direct product of its
+graphs on Z_q for the prime powers q exactly dividing M: a cycle of length
+l1 and one of length l2 multiply into gcd(l1, l2) cycles of length
+lcm(l1, l2), and a product node's tail is the longest of its components'
+tails.  So functional_graph measures each prime-power component and
+combines them; its cost follows the largest prime-power factor of M, not
+M.  Any other callable, subclasses included (maps.int_coefficients), has
+its whole ring walked as one component.
 
-Each component builds its successor table as an int64 array (vectorized
-numpy below 2**31, where every per-term product stays inside int64; exact
-big-int Python above).  _array_walk then works in whole-array rounds.  It
+Each component builds its successor table as an int64 array (for an
+integer polynomial below 2**31 in numpy, every product inside int64; else
+by exact Python calls).  _array_walk then works in whole-array rounds.  It
 peels the nodes of in-degree 0, level by level: a node whose longest
 chain of predecessors has h edges goes in round h + 1.  With T the
 longest tail, a node at distance d from its cycle has h <= T - d, and the
@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .maps import PowerMap, QuadMap
+from .maps import PowerMap, QuadMap, int_coefficients
 
 __all__ = [
     "FunctionalGraphSummary",
@@ -89,39 +89,41 @@ class FunctionalGraphSummary:
     nodes_on_cycles: int
 
 
-def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
-    """x**e % modulus elementwise, for int64 0 <= x < modulus < 2**31 and
-    e >= 1 (a PowerMap degree); e = 1 returns x itself.
+def int_power(x: np.ndarray, e: int, modulus: int | None = None) -> np.ndarray:
+    """x**e elementwise for int64 x and e >= 1, reduced after each product
+    when a modulus is given, like pow(x, e, modulus); e = 1 returns x.
 
-    Square-and-multiply from the lowest set bit of e: the result starts as
-    the base there, and no squaring follows the highest bit.
+    Square-and-multiply from the lowest set bit of e: no squaring follows
+    the highest bit, so no power above the e-th is formed.  Nothing wraps
+    while |x|**e fits in int64, or while 0 <= x < modulus < 2**31.
     """
     while not e & 1:
-        x = (x * x) % modulus
+        x = x * x if modulus is None else x * x % modulus
         e >>= 1
     result = x
     e >>= 1
     while e:
-        x = (x * x) % modulus
+        x = x * x if modulus is None else x * x % modulus
         if e & 1:
-            result = (result * x) % modulus
+            result = result * x if modulus is None else result * x % modulus
         e >>= 1
     return result
 
 
 def _successors(the_map, modulus: int) -> np.ndarray:
     """The int64 array of the_map(x) % modulus for x in Z_modulus."""
-    if modulus < _NUMPY_LIMIT and isinstance(the_map, (PowerMap, QuadMap)):
+    form = int_coefficients(the_map)
+    if modulus < _NUMPY_LIMIT and form is not None:
+        m, a, b, c = form
+        a, b, c = a % modulus, b % modulus, c % modulus
         x = np.arange(modulus, dtype=np.int64)
-        if isinstance(the_map, PowerMap):
-            acc = _pow_mod_array(x, the_map.degree, modulus)
-            acc = (acc - the_map.shift % modulus) % modulus
-        else:
-            a, b, c = (v % modulus for v in (the_map.a, the_map.b, the_map.c))
-            acc = (a * ((x * x) % modulus)) % modulus
+        acc = int_power(x, m, modulus)
+        # a PowerMap (a = 1, b = 0) makes no pass for either term
+        if a != 1:
+            acc = (a * acc) % modulus
+        if b:
             acc = (acc + b * x) % modulus
-            acc = (acc + c) % modulus
-        return acc
+        return (acc + c) % modulus
     return np.fromiter(
         (the_map(x) % modulus for x in range(modulus)), dtype=np.int64, count=modulus
     )
@@ -146,10 +148,8 @@ def _prime_powers(modulus: int) -> list[int]:
 
 def _components(the_map, modulus: int) -> list[int]:
     """The moduli of the components functional_graph walks for Z_modulus:
-    its prime powers for a PowerMap or QuadMap, the whole ring otherwise."""
-    if isinstance(the_map, (PowerMap, QuadMap)):
-        return _prime_powers(modulus)
-    return [modulus]
+    its prime powers for an integer polynomial, the whole ring otherwise."""
+    return _prime_powers(modulus) if int_coefficients(the_map) else [modulus]
 
 
 _Part = tuple[dict[int, int], int]  # a component's cycle-length counts and max tail
@@ -298,12 +298,12 @@ def functional_graph(
 ) -> FunctionalGraphSummary:
     """Measure the functional graph of the_map on Z_modulus.
 
-    A PowerMap or QuadMap is measured on each prime-power factor of the
-    modulus and the components are combined (see the module docstring), so
-    the cost follows the largest prime-power factor.  Any other callable
-    is walked over the whole ring.  A scan passes its component table, so
-    that each component is walked once for the whole scan; without one,
-    the call walks its own components as one batch.
+    An exact PowerMap or QuadMap is measured on each prime-power factor of
+    the modulus and the components are combined (see the module docstring),
+    so the cost follows the largest prime-power factor.  Any other callable,
+    subclasses included, is walked over the whole ring.  A scan passes its
+    component table, so that each component is walked once for the whole
+    scan; without one, the call walks its own components as one batch.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
@@ -394,14 +394,14 @@ def read_checkpoint(path, the_map) -> int | None:
     """Largest completed modulus recorded for this map, or None if empty.
 
     Line format: the map parameters, then modulus, max cycle length and
-    cycle count, all space-separated integers.  Any malformed line or a
-    parameter mismatch raises CheckpointError; a last line without its
-    newline is an interrupted write and is ignored.
+    cycle count, all space-separated ASCII integers.  Any malformed line
+    (any non-ASCII byte) or a parameter mismatch raises CheckpointError; a
+    last line without its newline is an interrupted write and is ignored.
     """
     params = map_params(the_map)
     width = len(params) + 3
     last = None
-    for lineno, line in enumerate(Path(path).read_text().split("\n")[:-1], start=1):
+    for lineno, line in enumerate(Path(path).read_bytes().split(b"\n")[:-1], start=1):
         if not line.strip():
             continue
         try:

@@ -49,8 +49,8 @@ from .classify import (
     classify_power,
     classify_quad,
 )
-from .maps import PowerMap, QuadMap
-from .modular import batches, peel
+from .maps import PowerMap, QuadMap, int_coefficients
+from .modular import batches, int_power, peel
 
 __all__ = [
     "EscapeBound",
@@ -163,39 +163,20 @@ def iterate_with_escape(
 
 
 def _int64_form(the_map, bound: int) -> tuple[int, int, int, int] | None:
-    """(m, a, b, c) with the_map(x) = a*x**m + b*x + c, when int64
-    evaluates that exactly on [-bound, bound]; else None.
+    """maps.int_coefficients(the_map), (m, a, b, c), when int64 evaluates
+    a*x**m + b*x + c exactly on [-bound, bound]; else None.
 
     Every intermediate is at most |a|*bound**m + |b|*bound + |c| in
-    absolute value (B**m + |k| for x**m - k), so below 2**62 nothing wraps.
-    Only PowerMap and QuadMap themselves qualify: a subclass may redefine
-    the map, so it is called like any other.
+    absolute value (B**m + |k| for x**m - k): int_power forms no power of
+    x above the m-th, so below 2**62 nothing wraps.
     """
-    if type(the_map) is PowerMap:
-        form = (the_map.degree, 1, 0, -the_map.shift)
-    elif type(the_map) is QuadMap:
-        form = (2, the_map.a, the_map.b, the_map.c)
-    else:
-        return None
-    m, a, b, c = form
-    # degree 62 and up is left to Python ints: there bound**m alone reaches
-    # the fence unless bound is 1, and then the window has three seeds
-    if m < 62 and abs(a) * bound**m + abs(b) * bound + abs(c) < _INT64_FENCE:
-        return form
+    if form := int_coefficients(the_map):
+        m, a, b, c = form
+        # degree 62 and up is left to Python ints: bound**m alone reaches the
+        # fence there unless bound is 1, and then the window has three seeds
+        if m < 62 and abs(a) * bound**m + abs(b) * bound + abs(c) < _INT64_FENCE:
+            return form
     return None
-
-
-def _int_power(x: np.ndarray, e: int) -> np.ndarray:
-    """x**e elementwise for e >= 1, by square-and-multiply that forms no
-    power of x above the e-th: nothing wraps while |x|**e fits."""
-    result = None
-    while True:
-        if e & 1:
-            result = x if result is None else result * x
-        e >>= 1
-        if not e:
-            return result
-        x = x * x
 
 
 def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,12 +205,12 @@ def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m, a, b, c, bound, zero = np.repeat(table, 2 * table[4] + 1, axis=1)
         x = np.arange(n) - zero
         if len(degrees) == 1 and all(forms):
-            power = _int_power(x, degrees.pop())
+            power = int_power(x, degrees.pop())
         else:
             power = np.zeros_like(x)
             for d in degrees:
                 on = m == d
-                power[on] = _int_power(x[on], d)
+                power[on] = int_power(x[on], d)
         y = a * power + b * x + c
         succ[:n] = np.where(np.abs(y) <= bound, zero + y, n)
     for (the_map, eb), form, zero in zip(batch, forms, table[5].tolist()):

@@ -183,11 +183,22 @@ def test_oracle_quad_grid(capsys):
     assert "all agree" in capsys.readouterr().out
 
 
-def test_oracle_usage_errors():
+def test_oracle_usage_errors(capsys):
     assert main(["oracle", "power", "--m", "2"]) == 2  # missing --k
     assert main(["oracle", "power", "--m", "0..1", "--k", "1"]) == 2
     assert main(["oracle", "quad", "--a", "0", "--b", "1", "--c", "1"]) == 2
     assert main(["oracle", "power", "--m", "2", "--k", "1..5", "--workers", "0"]) == 2
+    # the other family's grids are refused, not ignored
+    for argv, stray in (
+        (["oracle", "power", "--m", "2", "--k=1..3", "--a=5", "--c=7"], "--a"),
+        (["oracle", "quad", "--a=1", "--b=0", "--c=-2..2", "--m", "3", "--k", "9"], "--m"),
+        (["oracle", "quad", "--a=1", "--b=0", "--c=-2..2", "--k", "9"], "--k"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not read {stray}" in captured.err
 
 
 def test_oracle_refuses_an_oversized_window(monkeypatch, capsys):
@@ -588,6 +599,24 @@ def test_modscan_checkpoint_failures(tmp_path, capsys):
     ck.write_text("3 1 10 2 1\n")  # record for a different map
     rc = main(["modscan", "power", "2", "1", "--M", "2..5", "--checkpoint", str(ck)])
     assert rc == 3
+
+    # a checkpoint that is not ASCII, by a byte-order mark or a full-width
+    # digit in place of the last modulus: exit 3 naming it, no file changed
+    out = tmp_path / "scan.csv"
+    scan = ["modscan", "power", "2", "1", "--M", "2..9", "--out", str(out), "--checkpoint", str(ck)]
+    ck.unlink()
+    assert main(scan) == 0
+    lines = ck.read_bytes().splitlines(keepends=True)
+    for bad in (
+        b"\xff\xfe" + b"".join(lines),
+        b"".join(lines[:-1]) + "2 1 \uff19 2 1\n".encode("utf-8"),
+    ):
+        ck.write_bytes(bad)
+        before = (out.read_bytes(), ck.read_bytes())
+        capsys.readouterr()
+        assert main(scan) == 3
+        assert str(ck) in capsys.readouterr().err
+        assert (out.read_bytes(), ck.read_bytes()) == before
 
 
 def test_modscan_usage_errors(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitforge.modular as modular
+from orbitforge.kernel import iroot
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly
 from orbitforge.modular import (
     CheckpointError,
@@ -44,14 +45,27 @@ def test_functional_graph_rejects_small_modulus():
         naive_graph_oracle(PowerMap(2, 1), 0)
 
 
-def test_pow_mod_array_matches_pow():
+def test_int_power_matches_pow():
     for modulus in (1, 2, 12, 97, 1024, 65537, 131071):
         x = np.arange(modulus, dtype=np.int64)
         sample = range(0, modulus, max(1, modulus // 500))
         for e in range(1, 41):
-            got = modular._pow_mod_array(x, e, modulus)
+            got = modular.int_power(x, e, modulus)
             want = [pow(i, e, modulus) for i in sample]
             assert [int(got[i]) for i in sample] == want, (modulus, e)
+    # residues just below 2**31 - 1, whose products come nearest the int64
+    # headroom that _NUMPY_LIMIT relies on
+    top = 2**31 - 1
+    residues = list(range(top - 40, top))
+    x = np.array(residues, dtype=np.int64)
+    for e in range(1, 41):
+        assert modular.int_power(x, e, top).tolist() == [pow(i, e, top) for i in residues], e
+    # unreduced: values whose e-th power lies just under 2**62, both signs
+    for e in range(1, 62):
+        r = iroot(2**62 - 1, e)
+        values = [v for u in (r, r - 1, 1, 0) for v in (u, -u)]
+        got = modular.int_power(np.array(values, dtype=np.int64), e)
+        assert got.tolist() == [v**e for v in values], e
 
 
 def test_functional_graph_accepts_plain_callables():
@@ -66,13 +80,29 @@ def test_functional_graph_accepts_plain_callables():
     assert (got.cycle_lengths, got.max_tail_length) == ((2**15,), 0)
 
 
+class _Tripled(PowerMap):
+    """A PowerMap subclass that redefines the map: 3*(x**degree - shift)."""
+
+    def __call__(self, x: int) -> int:
+        return 3 * (x**self.degree - self.shift)
+
+
+class _PlainQuad(QuadMap):
+    """A QuadMap subclass that keeps its parent's map."""
+
+
 def test_agreement_examples():
-    for the_map, modulus in [
-        (PowerMap(2, 3), 5),
-        (PowerMap(3, 1), 7),
-        (QuadMap(1, 1, -2), 4),
+    # a subclass is walked over the whole ring, as it may redefine the map
+    for the_map, moduli in [
+        (PowerMap(2, 3), [5]),
+        (PowerMap(3, 1), [7]),
+        (QuadMap(1, 1, -2), [4]),
+        (_Tripled(2, 1), range(2, 120)),
+        (_PlainQuad(1, 1, -2), range(2, 120)),
     ]:
-        assert functional_graph(the_map, modulus) == naive_graph_oracle(the_map, modulus)
+        want = [naive_graph_oracle(the_map, modulus) for modulus in moduli]
+        assert [functional_graph(the_map, modulus) for modulus in moduli] == want
+        assert list(max_cycle_scan(the_map, moduli)) == want
 
 
 @settings(max_examples=120)
