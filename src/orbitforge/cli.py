@@ -26,6 +26,10 @@ take --workers N and refuse N < 1 (exit 2), but no handler reads it: every
 command runs in one process, and the option stays only because perfbench
 passes it to every command it runs.
 
+A family name is looked up in FAMILIES; its class's dataclass fields are
+the parameters that classify, orbit and modscan take, and that a map's
+label and JSON payload name.
+
 Grids accept comma lists and inclusive ranges: "4,6,8", "-10..5000", "1,3..5".
 All integer output is full decimal, never scientific notation.
 
@@ -44,9 +48,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +80,8 @@ __all__ = ["main", "entrypoint", "parse_grid", "render_classification_json"]
 
 MODSCAN_CSV_HEADER = "modulus,max_cycle_length,cycle_count,nodes_on_cycles,max_tail_length"
 BOUNDS_CSV_HEADER = "k,max_fixed_point,band_floor,max_fixed_point_minus_1,marked,witness_j"
+# the one place a family name is mapped to its class
+FAMILIES = {"power": PowerMap, "quad": QuadMap}
 
 
 def parse_grid(text: str) -> list[int]:
@@ -109,13 +117,11 @@ def _rational(text: str) -> Fraction:
 
 
 def _build_map(family: str, params: list[int]):
-    if family == "power":
-        if len(params) != 2:
-            raise ValueError("power maps take two integers: degree shift")
-        return PowerMap(params[0], params[1])
-    if len(params) != 3:
-        raise ValueError("quad maps take three integers: a b c")
-    return QuadMap(params[0], params[1], params[2])
+    cls = FAMILIES[family]
+    names = [f.name for f in fields(cls)]
+    if len(params) != len(names):
+        raise ValueError(f"{family} maps take {len(names)} integers: {' '.join(names)}")
+    return cls(*params)
 
 
 def _worker_count(text: str) -> int:
@@ -143,15 +149,13 @@ def _emit(text: str, out: Path | None) -> None:
 
 
 def _map_payload(the_map) -> dict:
-    if isinstance(the_map, PowerMap):
-        return {"family": "power", "degree": the_map.degree, "shift": the_map.shift}
-    return {"family": "quad", "a": the_map.a, "b": the_map.b, "c": the_map.c}
+    params = {f.name: getattr(the_map, f.name) for f in fields(the_map)}
+    return {"family": the_map.family, **params}
 
 
 def _map_label(the_map) -> str:
-    if isinstance(the_map, PowerMap):
-        return f"power degree={the_map.degree} shift={the_map.shift}"
-    return f"quad a={the_map.a} b={the_map.b} c={the_map.c}"
+    params = [f"{f.name}={getattr(the_map, f.name)}" for f in fields(the_map)]
+    return " ".join([the_map.family, *params])
 
 
 def _dump(payload) -> str:
@@ -181,19 +185,9 @@ def _render_classification_table(the_map, cls) -> str:
     lines.append(
         "fixed points: " + (", ".join(str(p) for p in cls.fixed_points) or "none")
     )
-    if cls.two_cycles:
-        lines.append(
-            "2-cycles: " + "; ".join("(" + ", ".join(map(str, c.points)) + ")" for c in cls.two_cycles)
-        )
-    else:
-        lines.append("2-cycles: none")
-    if cls.higher_cycles:
-        lines.append(
-            "higher cycles: "
-            + "; ".join("(" + ", ".join(map(str, c.points)) + ")" for c in cls.higher_cycles)
-        )
-    else:
-        lines.append("higher cycles: none")
+    for label, cycles in (("2-cycles", cls.two_cycles), ("higher cycles", cls.higher_cycles)):
+        shown = "; ".join("(" + ", ".join(map(str, c.points)) + ")" for c in cycles)
+        lines.append(f"{label}: {shown or 'none'}")
     lines.append(f"verdict: {cls.behavior}")
     if cls.witness is not None or cls.condition is not None:
         lines.append(f"witness: j={cls.witness} ({cls.condition})")
@@ -267,32 +261,28 @@ def cmd_oracle(args) -> int:
         if (getattr(args, name) is None) == (name in grids):
             verb = "needs" if name in grids else "does not read"
             raise ValueError(f"oracle {args.family} {verb} --{name}")
-    if args.family == "power":
-        maps = [PowerMap(m, k) for m in args.m for k in args.k]
-    else:
-        maps = [
-            QuadMap(a, b, c)
-            for a in args.a
-            if a != 0  # zero leading coefficient is not a quadratic; skipped
-            for b in args.b
-            for c in args.c
-        ]
-        if not maps:
-            raise ValueError("grid contains no valid quadratics")
+    values = [getattr(args, name) for name in grids]
+    if args.family == "quad":
+        # zero leading coefficient is not a quadratic; skipped
+        values[0] = [a for a in values[0] if a != 0]
+    maps = list(itertools.starmap(FAMILIES[args.family], itertools.product(*values)))
+    if not maps:
+        raise ValueError("grid contains no valid quadratics")
     disagreements: list[dict] = []
     lines: list[str] = []
     # the whole grid goes through one window_cycles call, then each map is
-    # compared on its own
+    # compared on its own; a label is built only where it is printed
     for the_map, observed in zip(maps, window_cycles(maps)):
         report = cross_check(the_map, observed)
-        label = _map_label(the_map)
         verdict = "agree"
         if not report.agree:
             command = _oracle_command(the_map)
-            disagreements.append({"map": label, "diff": report.diff, "reproduce": command})
+            disagreements.append(
+                {"map": _map_label(the_map), "diff": report.diff, "reproduce": command}
+            )
             verdict = f"DISAGREE: {report.diff} (reproduce: {command})"
         if args.format == "table":
-            lines.append(f"{label}: {verdict}")
+            lines.append(f"{_map_label(the_map)}: {verdict}")
     if args.format == "json":
         payload = {
             "checked": len(maps),
@@ -622,17 +612,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("classify", cmd_classify, "classify one map")
-    p.add_argument("family", choices=("power", "quad"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("params", nargs="+", type=int)
 
     p = command("orbit", cmd_orbit, "trace one seed")
-    p.add_argument("family", choices=("power", "quad"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cap", type=int, default=None)
 
     p = command("oracle", cmd_oracle, "cross-check grids")
-    p.add_argument("family", choices=("power", "quad"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("--m", type=_grid, default=None)
     p.add_argument("--k", type=_grid, default=None)
     p.add_argument("--a", type=_grid, default=None)
@@ -652,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_worker_count)
 
     p = command("modscan", cmd_modscan, "cycle survey over Z_M", ("csv",))
-    p.add_argument("family", choices=("power", "quad"))
+    p.add_argument("family", choices=FAMILIES)
     p.add_argument("params", nargs="+", type=int)
     p.add_argument("--M", type=_grid, required=True)
     p.add_argument("--stride", type=int, default=1)

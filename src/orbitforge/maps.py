@@ -1,10 +1,18 @@
-"""The iterated map families and their exact coordinate changes."""
+"""The iterated map families and their exact coordinate changes.
+
+A family is described once, by its dataclass: the class attribute family
+names it, and the dataclass fields, in declaration order, are its
+parameters.  The CLI's arity checks, map labels and JSON payloads and the
+checkpoint lines of a scan all read that description, so a subclass that
+adds fields carries them into its label, payload and checkpoint.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import ClassVar
 
 __all__ = [
     "PowerMap",
@@ -20,8 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PowerMap:
-    """x -> x**degree - shift on the integers."""
+    """The family "power": x -> x**degree - shift on the integers."""
 
+    family: ClassVar[str] = "power"
     degree: int
     shift: int
 
@@ -35,8 +44,9 @@ class PowerMap:
 
 @dataclass(frozen=True)
 class QuadMap:
-    """x -> a*x**2 + b*x + c with integer coefficients, a != 0."""
+    """The family "quad": x -> a*x**2 + b*x + c, integer coefficients, a != 0."""
 
+    family: ClassVar[str] = "quad"
     a: int
     b: int
     c: int

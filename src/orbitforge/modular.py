@@ -48,7 +48,7 @@ that writes and reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -382,12 +382,11 @@ class CheckpointError(Exception):
 
 
 def map_params(the_map) -> tuple[int, ...]:
-    """Parameter fields recorded in checkpoint lines for this map."""
-    if isinstance(the_map, PowerMap):
-        return (the_map.degree, the_map.shift)
-    if isinstance(the_map, QuadMap):
-        return (the_map.a, the_map.b, the_map.c)
-    raise TypeError(f"no checkpoint params for {type(the_map).__name__}")
+    """The parameters recorded in checkpoint lines for a PowerMap or QuadMap,
+    subclasses included: its dataclass field values, in declaration order."""
+    if not isinstance(the_map, (PowerMap, QuadMap)):
+        raise TypeError(f"no checkpoint params for {type(the_map).__name__}")
+    return tuple(getattr(the_map, f.name) for f in fields(the_map))
 
 
 def read_checkpoint(path, the_map) -> int | None:

@@ -82,11 +82,7 @@ class EscapeBound:
 
 
 class OrbitTrace(NamedTuple):
-    """One integer orbit, followed until repeat, escape, or the cap.
-
-    A named tuple rather than a frozen dataclass like the other records:
-    a tuple builds in about a third of the time.
-    """
+    """One integer orbit, followed until repeat, escape, or the cap."""
 
     seed: int
     points: tuple[int, ...]
@@ -375,9 +371,11 @@ def escape_is_sound(the_map, trace: OrbitTrace, extra_steps: int = 10) -> bool:
         if the_map.degree < 2:
             raise ValueError("no monotone gauge in degree 1")
         gauge = abs
-    else:
+    elif isinstance(the_map, QuadMap):
         a, b = the_map.a, the_map.b
         gauge = lambda x: abs(2 * a * x + b)  # noqa: E731
+    else:
+        raise TypeError(f"no escape gauge for {type(the_map).__name__}")
     x = trace.points[-1]
     level = gauge(x)
     for _ in range(extra_steps):

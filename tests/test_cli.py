@@ -92,6 +92,24 @@ def test_classify_usage_errors(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "orbit", "modscan"])
+@pytest.mark.parametrize(
+    "family, params, fields",
+    [
+        ("power", ["2"], "degree shift"),
+        ("power", ["2", "1", "0"], "degree shift"),
+        ("quad", ["1", "0"], "a b c"),
+        ("quad", ["1", "0", "-2", "5"], "a b c"),
+    ],
+)
+def test_wrong_parameter_count_is_refused(capsys, command, family, params, fields):
+    extra = {"classify": [], "orbit": ["--seed", "1"], "modscan": ["--M", "2..5"]}[command]
+    assert main([command, family, *params, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{family} maps take {len(fields.split())} integers: {fields}" in captured.err
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "c.json"
     assert (

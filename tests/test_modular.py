@@ -1,6 +1,7 @@
 """Functional graphs over Z_M: structure, oracle agreement, checkpoints."""
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -367,6 +368,17 @@ def test_orbit_reduction_coherence_on_divergent_orbits():
 def test_map_params():
     assert map_params(PowerMap(2, 1)) == (2, 1)
     assert map_params(QuadMap(1, 1, -2)) == (1, 1, -2)
+
+    class Renamed(PowerMap):
+        pass
+
+    @dataclass(frozen=True)
+    class Tagged(PowerMap):
+        tag: int = 0
+
+    # a subclass keeps its family's fields, and carries any it adds
+    assert map_params(Renamed(2, 1)) == (2, 1)
+    assert map_params(Tagged(2, 1, 7)) == (2, 1, 7)
     with pytest.raises(TypeError):
         map_params(RationalPoly([1, 0, 1]))
 

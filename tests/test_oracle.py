@@ -13,6 +13,7 @@ from orbitforge import modular as modular_module
 from orbitforge import oracle as oracle_module
 from orbitforge.oracle import (
     WINDOW_LIMIT,
+    OrbitTrace,
     cross_check,
     escape_bound,
     escape_is_sound,
@@ -208,6 +209,9 @@ def test_cross_check_examples():
     assert rep.observed.two_cycles == (Cycle(2, (-1, 0)),)
     with pytest.raises(TypeError):
         cross_check(RationalPoly([1, 0, 1]))
+    escaped = OrbitTrace(0, (0, 5), "escapes", escape_step=1, certificate="x")
+    with pytest.raises(TypeError, match="function"):
+        escape_is_sound(lambda x: 2 * x, escaped)
 
 
 def test_cross_check_identity_map():
@@ -380,7 +384,7 @@ def test_planted_three_cycle_is_reported(monkeypatch, capsys):
     assert not report.agree
     assert report.diff.startswith("anomaly: cycles of period > 2")
     # the gate trips on it, and names the one-map run that shows it again
-    monkeypatch.setattr(cli_module, "PowerMap", _Planted)
+    monkeypatch.setitem(cli_module.FAMILIES, "power", _Planted)
     assert cli_module.main(["oracle", "power", "--m", "2", "--k=10..30"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "checked 21 maps: 1 disagreements"
