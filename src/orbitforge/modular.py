@@ -18,25 +18,38 @@ by exact Python calls).  _array_walk then works in whole-array rounds.  It
 peels the nodes of in-degree 0, level by level: a node whose longest
 chain of predecessors has h edges goes in round h + 1.  With T the
 longest tail, a node at distance d from its cycle has h <= T - d, and the
-node next to the cycle on a longest tail has h = T - 1, so the peel takes
-exactly T rounds.  The survivors are the cycle nodes, and min-label
-pointer doubling gives each one its cycle's least node, whose label
-counts are the cycle lengths.
+node next to the cycle on a longest tail has h = T - 1, so a full peel
+takes T rounds, however few nodes each one peels.  So once the frontier is
+small, the rest is finished by pointer jumping: the unpeeled nodes are
+closed under the map, their cycles are the image of its 2**s-th power
+once 2**s reaches their number, and Wyllie's list ranking gives each
+node its distance to them.  After t rounds every unpeeled node has
+h >= t, so a longest tail is t plus the greatest distance found.
+
+The survivors are the cycle nodes, and contraction measures their cycles.
+Each round keeps the nodes whose successor is a strict local minimum of a
+fixed injective hash along their cycle: every cycle of two nodes or more
+has one, and no two kept nodes are adjacent.  Each kept node walks on to
+the next kept one, adding up the nodes it passes, and stands for them in
+the next round, so each round at least halves the nodes; a node that
+loops onto itself is a whole cycle, as long as its weight.
 
 A round costs numpy tens of microseconds whatever its size, more than a
 small graph's whole work, so small graphs are peeled many at a time: their
 tables are laid end to end as the blocks of one graph, each offset by its
 start.  This module owns that block-graph layer, which the oracle's escape
 windows share: peel, the batcher batches, and _BATCH_NODES, one node
-budget for both callers.  Each node records its peel round, so a block's
-longest tail is its highest round; a cycle's block is found from its least
-node.  A component of _BATCH_NODES nodes or more is walked alone, with one
-bit per node in the peel and no block lookup.  A call for one modulus walks
-its own components as one batch.  max_cycle_scan keeps one component table
-for the whole call, so each component is walked once per scan, and batches
-the moduli into runs whose new components fill one batch; the first
-modulus of a run walks the run's batch.  A run is cut only when its first
-summary is asked for.
+budget for both callers.  Each node records its peel round, or the tail
+bound a jump gives it, so a block's longest tail is its highest level; a
+cycle's block is found from one of its nodes.  The oracle's windows keep
+the full peel: their tails into the sink are short, and with the jump
+AC10b's grid took 2.77 s against 2.45 s.  A component of _BATCH_NODES
+nodes or more is walked alone, with one bit per node in the peel and no
+block lookup.  A call for one modulus walks its own components as one
+batch.  max_cycle_scan keeps one component table for the whole call, so
+each component is walked once per scan, and batches the moduli into runs
+whose new components fill one batch; the first modulus of a run walks the
+run's batch.  A run is cut only when its first summary is asked for.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -76,6 +89,16 @@ _NUMPY_LIMIT = 1 << 31
 # memory at once.  At 2**13, modscan-many ran about 15% slower, and
 # oracle-gate read peak_rss_mib 36.71 against 37.11 at 2**14, wall_s alike.
 _BATCH_NODES = 1 << 14
+# a peel with jump is finished by pointer jumping once its frontier is
+# below _JUMP_FRONTIER nodes and at most _JUMP_NODES nodes are unpeeled:
+# a jump costs about 2*log2 of that many whole-array rounds, a peel round
+# about 15 us however few nodes it peels
+_JUMP_FRONTIER = 512
+_JUMP_NODES = 1 << 15
+# Knuth's multiplicative hash, a prime near 2**32 over the golden ratio:
+# node number times it, mod 2**32, is injective below 2**32, as the
+# multiplier is odd, and scatters runs of consecutive numbers
+_HASH = np.uint32(0x9E3779B1)
 
 
 @dataclass(frozen=True)
@@ -117,13 +140,28 @@ def _successors(the_map, modulus: int) -> np.ndarray:
         m, a, b, c = form
         a, b, c = a % modulus, b % modulus, c % modulus
         x = np.arange(modulus, dtype=np.int64)
-        acc = int_power(x, m, modulus)
-        # a PowerMap (a = 1, b = 0) makes no pass for either term
-        if a != 1:
-            acc = (a * acc) % modulus
-        if b:
-            acc = (acc + b * x) % modulus
-        return (acc + c) % modulus
+        # ((a*x**(m-1) + b)*x + c) % modulus by Horner, in place: every
+        # factor is below modulus < 2**31, so every intermediate is at most
+        # (modulus - 1)*modulus < 2**62.  Degree 1 is (a + b)*x + c.
+        if m == 1:
+            acc = x  # x is not needed again
+            acc *= (a + b) % modulus
+        else:
+            acc = int_power(x, m - 1, modulus)
+            if acc is x:  # m = 2: int_power returns x itself
+                acc = x.copy()
+            # a PowerMap (a = 1, b = 0) makes no pass for either term
+            if a != 1:
+                acc *= a
+            if b:
+                acc += b
+            if a != 1 or b:
+                acc %= modulus
+            acc *= x
+        if c:
+            acc += c
+        acc %= modulus
+        return acc
     return np.fromiter(
         (the_map(x) % modulus for x in range(modulus)), dtype=np.int64, count=modulus
     )
@@ -172,10 +210,17 @@ def batches(items: Iterable, size: Callable[..., int]) -> Iterator[list]:
         yield batch
 
 
-def peel(succ: np.ndarray, dtype) -> tuple[np.ndarray, int]:
+def peel(succ: np.ndarray, dtype, *, jump: bool) -> tuple[np.ndarray, int]:
     """Peel the graph x -> succ[x] down to its cycles, round by round (see
-    the module docstring).  Returns level, of dtype, with level[x] the
-    round that peels x, 0 (False) on a cycle, and the number of rounds.
+    the module docstring).  Returns level, of dtype, zero (False) exactly
+    on the cycles, and the longest tail.  A node peeled in round t has
+    level t.
+
+    With jump, a peel whose frontier has fallen below _JUMP_FRONTIER nodes
+    while at most _JUMP_NODES are unpeeled is finished by _jump, which
+    gives each node it reaches the rounds peeled plus its distance to a
+    cycle as level; the highest level in a block is still its longest
+    tail.  Without jump, the peel runs to the end.
     """
     indeg = np.bincount(succ, minlength=len(succ))
     # allocated after indeg: the other order raised modscan-large's peak
@@ -183,8 +228,13 @@ def peel(succ: np.ndarray, dtype) -> tuple[np.ndarray, int]:
     level = np.zeros(len(succ), dtype=dtype)
     frontier = np.flatnonzero(indeg == 0)
     rounds = 0
+    left = len(succ)
     while frontier.size:
+        if jump and frontier.size < _JUMP_FRONTIER and left <= _JUMP_NODES:
+            del indeg, frontier
+            return level, rounds + _jump(succ, level, rounds)
         rounds += 1
+        left -= frontier.size
         level[frontier] = rounds
         targets = succ[frontier]
         del frontier
@@ -199,6 +249,117 @@ def peel(succ: np.ndarray, dtype) -> tuple[np.ndarray, int]:
     return level, rounds
 
 
+def _restrict(succ: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The graph x -> succ[x] on the ascending nodes, which it must map
+    into themselves, renumbered 0..len(nodes)-1 in their order."""
+    pos = np.empty(len(succ), dtype=np.int64)
+    pos[nodes] = np.arange(len(nodes))
+    targets = succ[nodes]
+    # frees nodes when the caller holds no other reference
+    del nodes
+    return pos[targets]
+
+
+def _jump(succ: np.ndarray, level: np.ndarray, rounds: int) -> int:
+    """Finish, by pointer jumping, a peel that has run rounds rounds (see
+    the module docstring): give each unpeeled node off a cycle the level
+    rounds + its distance to a cycle, and return the greatest distance.
+
+    An unpeeled node has a chain of at least rounds predecessors, so no
+    tail through it is longer than rounds + its distance; the node rounds
+    steps down a longest tail is unpeeled, so some block's longest tail is
+    exactly that.
+    """
+    rest = np.flatnonzero(level == 0)
+    r = len(rest)
+    nxt = _restrict(succ, rest)
+    # 2**steps >= r: no distance in the residual graph reaches it
+    steps = (r - 1).bit_length()
+    ahead = nxt
+    for _ in range(steps):
+        ahead = ahead[ahead]
+    on_cycle = np.zeros(r, dtype=bool)
+    on_cycle[ahead] = True
+    del ahead
+    # a cycle node is its own end, at distance 0; after round s, dist[x]
+    # counts the steps off a cycle among the 2**s from x, and the rounds
+    # end once every node's pointer has reached a cycle
+    dist = (~on_cycle).astype(np.int64)
+    nxt[on_cycle] = np.flatnonzero(on_cycle)
+    while (far := dist[nxt]).any():
+        dist += far
+        nxt = nxt[nxt]
+    tree = ~on_cycle
+    level[rest[tree]] = rounds + dist[tree]
+    return int(dist.max())
+
+
+def _cycles(nxt: np.ndarray, ids: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The cycles of the permutation x -> nxt[x], by contraction (see the
+    module docstring): their lengths, and with ids, the id of one node of
+    each.
+
+    The hash of node x is x * _HASH mod 2**32, in uint32; a node's weight
+    is the number of nodes it stands for.  A kept node is found from its
+    forward edges alone: its edge falls and the next one rises.  The first
+    round's weights are all 1 and its ids the given ones, so neither is
+    built.
+    """
+    lengths: list[np.ndarray] = []
+    reps: list[np.ndarray] = []
+    weight = None  # all ones
+    # the hashes of nodes 0..len(nxt)-1, built once: each round's nodes
+    # take a prefix of them
+    hashes = np.arange(len(nxt), dtype=np.uint32)
+    hashes *= _HASH
+    while len(nxt):
+        hashed = hashes[: len(nxt)]
+        ahead = hashed[nxt]
+        loops = ahead == hashed
+        if loops.any():
+            if weight is None:
+                lengths.append(np.ones(np.count_nonzero(loops), np.int64))
+            else:
+                lengths.append(weight[loops])
+            if ids is not None:
+                reps.append(ids[loops])
+        del loops
+        rises = hashed < ahead
+        del ahead
+        # x falls into a node that rises; a self-loop never rises
+        keep = rises[nxt] > rises
+        del rises
+        free = ~keep
+        kept = keep.nonzero()[0]
+        # each kept node is at least two steps before the next kept one
+        first = nxt[kept]
+        if weight is None:
+            total = np.full(len(kept), 2, np.int64)
+        else:
+            total = weight[kept]
+            total += weight[first]
+        at = nxt[first]
+        del first
+        if ids is not None:
+            ids = ids[kept]
+        walking = free[at].nonzero()[0]
+        while walking.size:
+            step = at[walking]
+            total[walking] += 1 if weight is None else weight[step]
+            step = nxt[step]
+            at[walking] = step
+            walking = walking[free[step]]
+        # renumber the kept nodes 0..len(kept)-1 (a cumsum of keep would
+        # build an int64 copy of it besides the ranks)
+        rank = np.empty(len(nxt), dtype=np.int64)
+        del free, keep, nxt
+        rank[kept] = np.arange(len(kept))
+        nxt = rank[at]
+        del rank, at
+        weight = total
+    return np.concatenate(lengths), np.concatenate(reps) if ids is not None else None
+
+
 def _array_walk(succ: np.ndarray, starts: np.ndarray | None = None) -> list[_Part]:
     """Cycle-length counts and the longest tail of the graph x -> succ[x]
     (see the module docstring).
@@ -209,39 +370,22 @@ def _array_walk(succ: np.ndarray, starts: np.ndarray | None = None) -> list[_Par
     batch of one block instead, modscan-large read wall_s 0.1615 against
     0.158 s, slower in 5 of 5 pairs, and peak_rss_mib 47.5 against 47.0.
     """
-    n = len(succ)
-    level, rounds = peel(succ, bool if starts is None else np.int32)
-    if starts is not None:
-        tails = np.maximum.reduceat(level, starts).tolist()
-    # number the cycle nodes 0..k-1
+    level, tail = peel(succ, bool if starts is None else np.int32, jump=True)
+    if starts is None:
+        # no name holds the cycle nodes or their graph, so each is freed
+        # as soon as it is used: _restrict frees the nodes, _cycles the
+        # graph after its first round
+        lengths, _ = _cycles(_restrict(succ, np.flatnonzero(level == 0)), None)
+        values, counts = np.unique(lengths, return_counts=True)
+        return [(dict(zip(values.tolist(), counts.tolist())), tail)]
+    tails = np.maximum.reduceat(level, starts).tolist()
     on_cycle = np.flatnonzero(level == 0)
     del level
-    if starts is not None:
-        # the number of each block's first cycle node
-        first_cycle = np.searchsorted(on_cycle, starts)
-    pos = np.empty(n, dtype=np.int64)
-    pos[on_cycle] = np.arange(len(on_cycle))
-    nxt = pos[succ[on_cycle]]
-    del pos, on_cycle
-    # after round r, label[i] is the least index among the 2**r nodes from
-    # i on and nxt[i] is the node 2**r ahead; once no label can drop, each
-    # is its cycle's least index
-    label = np.arange(len(nxt))
-    while True:
-        ahead = label[nxt]
-        if np.array_equal(ahead, label):
-            break
-        np.minimum(label, ahead, out=label)
-        nxt = nxt[nxt]
-    lengths = np.bincount(label)
-    if starts is None:
-        values, counts = np.unique(lengths[lengths > 0], return_counts=True)
-        return [(dict(zip(values.tolist(), counts.tolist())), rounds)]
-    least = np.flatnonzero(lengths)
-    block = np.searchsorted(first_cycle, least, side="right") - 1
+    lengths, reps = _cycles(_restrict(succ, on_cycle), on_cycle)
+    block = np.searchsorted(starts, reps, side="right") - 1
     # a cycle of length l in block b counts at node starts[b] + l - 1,
     # which lies in block b, as l is at most the block's size
-    tally = np.bincount(starts[block] + lengths[least] - 1, minlength=n)
+    tally = np.bincount(starts[block] + lengths - 1, minlength=len(succ))
     keys = np.flatnonzero(tally)
     block = np.searchsorted(starts, keys, side="right") - 1
     counts: list[dict[int, int]] = [{} for _ in starts]

@@ -259,7 +259,8 @@ def _confirm(the_map, eb: EscapeBound, survivors: list[int]) -> OrbitClassificat
 def _batch_cycles(batch) -> list[OrbitClassification]:
     """window_cycles of one batch of (map, escape bound) pairs."""
     succ, zeros, ends = _window_graph(batch)
-    peeled, _ = peel(succ, bool)
+    # the full peel: window graphs have short tails into the sink
+    peeled, _ = peel(succ, bool, jump=False)
     # the sink, last, loops on itself and is never peeled
     nodes = np.flatnonzero(~peeled[:-1])
     block = np.searchsorted(ends, nodes)

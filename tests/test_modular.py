@@ -1,6 +1,7 @@
 """Functional graphs over Z_M: structure, oracle agreement, checkpoints."""
 
 import hashlib
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ def test_functional_graph_accepts_plain_callables():
         got = functional_graph(rotate, modulus)
         assert got == naive_graph_oracle(rotate, modulus)
         assert (got.cycle_lengths, got.max_tail_length) == ((modulus,), 0)
-    # a component walked alone: the longest pointer doubling
+    # a component walked alone: one cycle of 2**15 nodes, which contraction
+    # takes many rounds to bring down to one node
     got = functional_graph(rotate, 2**15)
     assert (got.cycle_lengths, got.max_tail_length) == ((2**15,), 0)
 
@@ -168,15 +170,121 @@ def _oracle_part(succ):
     return counts, summary.max_tail_length
 
 
+# the settings of the switch from peeling to pointer jumping: the jump at
+# round 0, once the frontier is below 8 nodes (mid-peel on most tables),
+# and never
+JUMP_REGIMES = (
+    {"_JUMP_FRONTIER": 2**62, "_JUMP_NODES": 2**62},
+    {"_JUMP_FRONTIER": 8, "_JUMP_NODES": 2**62},
+    {"_JUMP_FRONTIER": 0},
+)
+
+
+def _walk_both_ways(tables):
+    """_array_walk of tables as one batch, and of each table alone."""
+    starts = np.cumsum([0] + [len(succ) for succ in tables[:-1]])
+    batch = np.concatenate([np.array(succ, dtype=np.int64) + s for succ, s in zip(tables, starts)])
+    # each table alone, as a component of at least _BATCH_NODES nodes is
+    alone = [modular._array_walk(np.array(succ, dtype=np.int64))[0] for succ in tables]
+    return modular._array_walk(batch, starts), alone
+
+
 @settings(max_examples=60, deadline=None)
 @given(tables=st.lists(successor_tables(), min_size=1, max_size=6))
 def test_batched_walk_matches_naive_oracle(tables):
     expected = [_oracle_part(succ) for succ in tables]
-    starts = np.cumsum([0] + [len(succ) for succ in tables[:-1]])
-    batch = np.concatenate([np.array(succ, dtype=np.int64) + s for succ, s in zip(tables, starts)])
-    assert modular._array_walk(batch, starts) == expected
-    # each table alone, as a component of at least _BATCH_NODES nodes is
-    assert [modular._array_walk(np.array(succ, dtype=np.int64))[0] for succ in tables] == expected
+    for regime in JUMP_REGIMES:
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in regime.items():
+                patch.setattr(modular, name, value)
+            assert _walk_both_ways(tables) == (expected, expected), regime
+
+
+@st.composite
+def planted_permutations(draw):
+    """A permutation of range(n), n up to 2000, with cycles of up to 256
+    nodes (several contraction rounds each) on shuffled nodes."""
+    n = draw(st.integers(2, 2000))
+    rnd = draw(st.randoms(use_true_random=False))
+    nodes = list(range(n))
+    rnd.shuffle(nodes)
+    succ = [0] * n
+    i = 0
+    while i < n:
+        cycle = nodes[i : i + rnd.randint(1, 256)]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[x] = y
+        i += len(cycle)
+    return succ
+
+
+@settings(max_examples=20, deadline=None)
+@given(tables=st.lists(planted_permutations(), min_size=1, max_size=3))
+def test_contraction_matches_naive_oracle_on_permutations(tables):
+    expected = [_oracle_part(succ) for succ in tables]
+    assert _walk_both_ways(tables) == (expected, expected)
+
+
+def test_contraction_fixed_cases():
+    n = 3001
+    rnd = random.Random(19)
+    order = list(range(n))
+    rnd.shuffle(order)
+    long_cycle = [0] * n
+    for x, y in zip(order, order[1:] + order[:1]):
+        long_cycle[x] = y
+    cases = [
+        (list(range(n)), ({1: n}, 0)),  # the identity
+        ([x ^ 1 for x in range(n - 1)], ({2: (n - 1) // 2}, 0)),  # all 2-cycles
+        (long_cycle, ({n: 1}, 0)),
+    ]
+    tables = [succ for succ, _ in cases]
+    expected = [part for _, part in cases]
+    assert _walk_both_ways(tables) == (expected, expected)
+    # one long cycle of 2**17 nodes, walked alone
+    order = np.random.default_rng(19).permutation(2**17)
+    succ = np.empty(2**17, dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    assert modular._array_walk(succ) == [({2**17: 1}, 0)]
+
+
+def test_permutation_summaries_pinned():
+    # 2x^2 + x permutes every Z_{2^e}: 512 fixed points, then cycles of
+    # lengths 2, 8, 32, ..., 2**17, half as many of each as of the one
+    # before; pinned from min-label pointer doubling, an independent
+    # labelling
+    got = functional_graph(QuadMap(2, 1, 0), 2**18)
+    counts = {length: got.cycle_lengths.count(length) for length in set(got.cycle_lengths)}
+    assert counts == {
+        1: 512, 2: 256, 8: 128, 32: 64, 128: 32, 512: 16, 2048: 8, 8192: 4, 32768: 2, 131072: 1
+    }
+    assert (got.cycle_count, got.max_cycle_length, got.max_tail_length) == (1023, 131072, 0)
+    # x^3 - 2 permutes Z_p for p = 2 mod 3; the largest single component
+    # measured
+    got = functional_graph(PowerMap(3, 2), 999983)
+    assert (got.cycle_count, got.max_cycle_length, got.max_tail_length) == (15, 788429, 0)
+    assert got.cycle_lengths == (
+        1, 2, 22, 26, 28, 33, 270, 536, 560, 14111, 21196, 25854, 27176, 121739, 788429
+    )
+
+
+@pytest.mark.parametrize(
+    "the_map",
+    [
+        PowerMap(1, 3),
+        PowerMap(1, -5),
+        PowerMap(2, 1),
+        PowerMap(5, -7),
+        QuadMap(2, 1, 0),
+        QuadMap(1, 1, -2),
+        QuadMap(-3, 5, 7),
+        QuadMap(1, 0, 0),
+    ],
+)
+def test_successor_tables_match_python(the_map):
+    for modulus in (2, 3, 97, 1000, 2**16 + 1):
+        want = [the_map(x) % modulus for x in range(modulus)]
+        assert modular._successors(the_map, modulus).tolist() == want, modulus
 
 
 @settings(max_examples=200)
