@@ -21,6 +21,11 @@ for even b, q = b*(b-2)/4 - a*c is j*(j+1) ("pronic") or j*(j+1) + 1
 j**2 + 1 ("square_plus_one").  Only the integral points are reported, each
 re-verified by substitution.
 
+Nearly every map has no cycle.  Its answer is one frozen
+OrbitClassification per behavior, shared by every such map, so the common
+case builds nothing; degree 2 of x**m - k is decided on the PowerMap itself,
+with no QuadMap built for it.
+
 The band accounting below is for the integer family x**m - k alone.  The
 rational family x**2 - q that the reduction reaches lives in the kernel
 (its q-predicates and certified decimals) and in the CLI's bounds table.
@@ -109,6 +114,13 @@ class OrbitClassification:
     condition: str | None = None
 
 
+# the answer for a map without cycles, one shared frozen instance per behavior
+_CYCLE_FREE = {
+    behavior: OrbitClassification((), (), (), behavior)
+    for behavior in (DIVERGES_UP, DIVERGES_DOWN, DIVERGES_SPLIT, ALL_FIXED)
+}
+
+
 def _rational_cycle(a: int, b: int, c: int) -> tuple[int, int, str, tuple[int, ...]] | None:
     """Rational fixed points or 2-cycle of x -> a*x**2 + b*x + c, by discriminant.
 
@@ -154,7 +166,9 @@ def solve_pronic(n: int) -> tuple[int, str] | None:
 def power_fixed_points(power: PowerMap) -> list[int]:
     """All integers j with j**m - j == shift, verified by substitution.
 
-    Beyond {-1, 0, 1} one candidate per sign is exact, with r = iroot(|k|, m):
+    On {-1, 0, 1}, j**m - j is 0, except 2 at j = -1 for even m, so those
+    points are tested only when k is 0 or 2.  Beyond them one candidate per
+    sign is exact, with r = iroot(|k|, m):
     a root j >= 2 has (j-1)**m < k < j**m, so j = r + 1; a root -t with
     t >= 2 has t**m < k < (t+1)**m for even m, so t = r, and
     (t-1)**m < -k < t**m for odd m, so t = r + 1.
@@ -167,7 +181,9 @@ def power_fixed_points(power: PowerMap) -> list[int]:
     if m == 1:
         return []
     r = iroot(abs(k), m)
-    candidates = {-1, 0, 1, r + 1, -r if m % 2 == 0 else -r - 1}
+    candidates = (-r if m % 2 == 0 else -r - 1, r + 1)
+    if k == 0 or k == 2:
+        candidates = {-1, 0, 1, *candidates}
     return sorted(j for j in candidates if j**m - j == k)
 
 
@@ -181,22 +197,37 @@ def classify_power(power: PowerMap) -> OrbitClassification:
     """Exact periodic-orbit answer for x -> x**degree - shift."""
     m, k = power.degree, power.shift
     if m == 1:
-        if k == 0:
-            return OrbitClassification((), (), (), ALL_FIXED)
-        return OrbitClassification((), (), (), DIVERGES_UP if k < 0 else DIVERGES_DOWN)
+        return _CYCLE_FREE[ALL_FIXED if k == 0 else DIVERGES_UP if k < 0 else DIVERGES_DOWN]
     if m == 2:
-        return classify_quad(QuadMap(1, 0, -k))
+        return _quadratic(power, 1, 0, -k)
     fixed = tuple(power_fixed_points(power))
     behavior = DIVERGES_SPLIT if m % 2 else DIVERGES_UP
     if m % 2 == 0 and k == 1:
         cyc = _verified_two_cycle(power, -1, 0)
         return OrbitClassification(fixed, cyc, (), behavior, 0, "even_degree_shift_one")
+    if not fixed:
+        return _CYCLE_FREE[behavior]
     return OrbitClassification(fixed, (), (), behavior)
 
 
 # ====================================================================
 # integer quadratics
 # ====================================================================
+
+
+def _quadratic(the_map, a: int, b: int, c: int) -> OrbitClassification:
+    """The answer for a map that equals a*x**2 + b*x + c; substitution
+    re-verifies its points on the_map itself."""
+    behavior = DIVERGES_UP if a > 0 else DIVERGES_DOWN
+    hit = _rational_cycle(a, b, c)
+    if hit is None:
+        return _CYCLE_FREE[behavior]
+    period, j, condition, roots = hit
+    if period == 1:
+        fixed = tuple(sorted({p for p in roots if the_map(p) == p}))
+        return OrbitClassification(fixed, (), (), behavior, j, condition)
+    cyc = _verified_two_cycle(the_map, *roots) if len(roots) == 2 else ()
+    return OrbitClassification((), cyc, (), behavior, j, condition)
 
 
 def classify_quad(quad: QuadMap) -> OrbitClassification:
@@ -207,16 +238,7 @@ def classify_quad(quad: QuadMap) -> OrbitClassification:
     reported, and a 2-cycle needs both.  Divergent seeds follow the sign of
     the leading coefficient.
     """
-    behavior = DIVERGES_UP if quad.a > 0 else DIVERGES_DOWN
-    hit = _rational_cycle(quad.a, quad.b, quad.c)
-    if hit is None:
-        return OrbitClassification((), (), (), behavior)
-    period, j, condition, roots = hit
-    if period == 1:
-        fixed = tuple(sorted({p for p in roots if quad(p) == p}))
-        return OrbitClassification(fixed, (), (), behavior, j, condition)
-    cyc = _verified_two_cycle(quad, *roots) if len(roots) == 2 else ()
-    return OrbitClassification((), cyc, (), behavior, j, condition)
+    return _quadratic(quad, quad.a, quad.b, quad.c)
 
 
 # ====================================================================

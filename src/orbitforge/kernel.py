@@ -68,15 +68,21 @@ class Side(enum.Enum):
 
 
 def iroot(n: int, m: int) -> int:
-    """Largest r >= 0 with r**m <= n, for n >= 0 and m >= 1."""
+    """Largest r >= 0 with r**m <= n, for n >= 0 and m >= 1.
+
+    Even degrees go through math.isqrt: for m = 2j, r**m <= n exactly when
+    r**j <= isqrt(n), since r**j is an integer.  So iroot(n, 2j) is
+    iroot(isqrt(n), j), halving m while it is even; only an odd degree
+    m >= 3 that is left runs Newton's iteration.  No float is involved.
+    """
     if m < 1:
         raise ValueError("root degree must be >= 1")
     if n < 0:
         raise ValueError("iroot of negative integer")
+    while m % 2 == 0:
+        n, m = math.isqrt(n), m // 2
     if m == 1 or n <= 1:
         return n
-    if m == 2:
-        return math.isqrt(n)
     # Newton iteration started from a power-of-two bound above the root.
     r = 1 << -(-n.bit_length() // m)
     while True:
@@ -200,7 +206,8 @@ def max_fixed_point_floor(m: int, k: int) -> int:
 
 def _check_q(q) -> Fraction:
     q = Fraction(q)
-    if 1 + 4 * q < 0:
+    # 1 + 4q < 0, decided on the integers (the denominator is positive)
+    if q.denominator + 4 * q.numerator < 0:
         raise ValueError("no real fixed points: 1 + 4q < 0")
     return q
 

@@ -197,10 +197,11 @@ def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     succ = np.empty(n + 1, dtype=np.int64)
     succ[n] = n
     degrees = {form[0] for form in forms if form}
+    vectorised = all(forms)
     if degrees:
         m, a, b, c, bound, zero = np.repeat(table, 2 * table[4] + 1, axis=1)
         x = np.arange(n) - zero
-        if len(degrees) == 1 and all(forms):
+        if len(degrees) == 1 and vectorised:
             power = int_power(x, degrees.pop())
         else:
             power = np.zeros_like(x)
@@ -209,14 +210,15 @@ def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 power[on] = int_power(x[on], d)
         y = a * power + b * x + c
         succ[:n] = np.where(np.abs(y) <= bound, zero + y, n)
-    for (the_map, eb), form, zero in zip(batch, forms, table[5].tolist()):
-        if form is None:
-            # exact Python ints; only node numbers go into the array
-            bound = eb.bound
-            succ[zero - bound : zero + bound + 1] = [
-                zero + y if -bound <= y <= bound else n
-                for y in map(the_map, range(-bound, bound + 1))
-            ]
+    if not vectorised:
+        for (the_map, eb), form, zero in zip(batch, forms, table[5].tolist()):
+            if form is None:
+                # exact Python ints; only node numbers go into the array
+                bound = eb.bound
+                succ[zero - bound : zero + bound + 1] = [
+                    zero + y if -bound <= y <= bound else n
+                    for y in map(the_map, range(-bound, bound + 1))
+                ]
     return succ, table[5], table[5] + table[4]
 
 
@@ -356,7 +358,8 @@ def cross_check(the_map, observed: OrbitClassification | None = None) -> CrossCh
             )
     if observed.higher_cycles:
         problems.append(f"anomaly: cycles of period > 2 observed: {observed.higher_cycles}")
-    return CrossCheckReport(the_map, not problems, predicted, observed, "; ".join(problems))
+    diff = "; ".join(problems) if problems else ""
+    return CrossCheckReport(the_map, not problems, predicted, observed, diff)
 
 
 def escape_is_sound(the_map, trace: OrbitTrace, extra_steps: int = 10) -> bool:

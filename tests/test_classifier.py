@@ -162,6 +162,20 @@ def test_power_fixed_points_against_brute_force(m, k):
     assert got == [j for j in window if j**m - j == k]
 
 
+def test_power_fixed_points_exhaustive_small_shifts():
+    # every small shift, so k = 0 and k = 2, where -1, 0 or 1 is fixed, are
+    # all reached; for |k| <= 50 and m >= 2 a root has |j| <= 7, as
+    # |j**m - j| >= j**2 - |j| > 50 beyond that, so the window holds them all
+    window = range(-60, 61)
+    for m in range(1, 10):
+        for k in range(-50, 51):
+            got = power_fixed_points(PowerMap(m, k))
+            if m == 1 and k == 0:
+                assert got == []  # the identity: ALL_FIXED, not enumerated
+            else:
+                assert got == [j for j in window if j**m - j == k], (m, k)
+
+
 @given(
     m=st.integers(min_value=2, max_value=8),
     k=st.integers(min_value=-(10**4), max_value=10**4),
@@ -189,6 +203,13 @@ def test_degree_two_trichotomy(k):
 @given(k=st.integers(min_value=-(10**6), max_value=10**6))
 def test_scale_coherence_with_monic_pure_quadratic(k):
     assert classify_power(PowerMap(2, k)) == classify_quad(QuadMap(1, 0, -k))
+
+
+def test_degree_two_power_matches_its_quadratic_on_a_range():
+    # classify_power decides degree 2 on the PowerMap itself, with no
+    # QuadMap; every shift here, cycle-free or not, must agree
+    for k in range(-300, 3001):
+        assert classify_power(PowerMap(2, k)) == classify_quad(QuadMap(1, 0, -k)), k
 
 
 # ====================================================================

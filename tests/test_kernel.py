@@ -48,10 +48,22 @@ def test_iroot_values():
         iroot(8, 0)
 
 
-@given(n=st.integers(min_value=0, max_value=10**40), m=st.integers(min_value=1, max_value=12))
+@given(n=st.integers(min_value=0, max_value=2**4000), m=st.integers(min_value=1, max_value=64))
 def test_iroot_brackets_the_root(n, m):
     r = iroot(n, m)
     assert r**m <= n < (r + 1) ** m
+
+
+@pytest.mark.parametrize("m", range(2, 65))
+def test_iroot_at_exact_powers(m):
+    # even m halves through math.isqrt until the degree is odd; each n sits
+    # on or next to a power, where an off-by-one root would show
+    for r in (1, 2, 3, 7, 10, 2**31 - 1, 2**64 + 1, 10**20 + 7, 3**60, 10**50):
+        p = r**m
+        for n, want in ((p - 1, r - 1), (p, r), (p + 1, r)):
+            got = iroot(n, m)
+            assert got == want
+            assert got**m <= n < (got + 1) ** m
 
 
 # ====================================================================
@@ -212,6 +224,19 @@ def test_approx_domain_errors():
     for approx in (approx_max_fixed_point_q, approx_band_floor_q):
         with pytest.raises(ValueError, match="no real fixed points"):
             approx(Fraction(-1, 3), 6)  # 1 + 4q < 0
+
+
+def test_q_family_refuses_exactly_when_one_plus_4q_is_negative():
+    # every q = n/d in [-1, 1] with d <= 40, so that 1 + 4q takes each small
+    # value on both sides of 0, and -1/4 plus and minus 10**-30
+    tiny = Fraction(1, 10**30)
+    qs = [Fraction(n, d) for d in range(1, 41) for n in range(-d, d + 1)]
+    for q in qs + [Fraction(-1, 4) - tiny, Fraction(-1, 4) + tiny]:
+        if 1 + 4 * q < 0:
+            with pytest.raises(ValueError, match="no real fixed points"):
+                max_fixed_point_floor_q(q)
+        else:
+            assert max_fixed_point_floor_q(q) >= 0
 
 
 def test_decimal_approx_as_fraction():
