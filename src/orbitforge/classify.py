@@ -24,7 +24,10 @@ re-verified by substitution.
 Nearly every map has no cycle.  Its answer is one frozen
 OrbitClassification per behavior, shared by every such map, so the common
 case builds nothing; degree 2 of x**m - k is decided on the PowerMap itself,
-with no QuadMap built for it.
+with no QuadMap built for it.  For a whole grid, cycle_candidates lists the
+maps that can have a cycle from the same witnesses, in int64 columns (k in
+a table of j**m - j, a discriminant that is a square or a square plus 4),
+so that only those maps need the per-map answer.
 
 The band accounting below is for the integer family x**m - k alone.  The
 rational family x**2 - q that the reduction reaches lives in the kernel
@@ -38,6 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from .kernel import (
     Side,
     approx_band_floor,
@@ -48,6 +53,7 @@ from .kernel import (
     max_fixed_point_floor,
 )
 from .maps import PowerMap, QuadMap
+from .modular import int_power
 
 __all__ = [
     "Cycle",
@@ -60,6 +66,7 @@ __all__ = [
     "power_fixed_points",
     "classify_power",
     "classify_quad",
+    "cycle_candidates",
     "solve_pronic",
     "band_integers",
     "band_gap_checks",
@@ -239,6 +246,74 @@ def classify_quad(quad: QuadMap) -> OrbitClassification:
     the leading coefficient.
     """
     return _quadratic(quad, quad.a, quad.b, quad.c)
+
+
+# ====================================================================
+# whole grids
+# ====================================================================
+
+
+def _is_square(d: np.ndarray) -> np.ndarray:
+    """d is a perfect square, elementwise, for int64 d below 2**62: the
+    float root is within 1/2 of an integer root, so it rounds to it."""
+    r = np.rint(np.sqrt(np.maximum(d, 0))).astype(np.int64)
+    return (d >= 0) & (r * r == d)
+
+
+def _fixed_point_shifts(m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values j**m - j with |j**m - j| <= top, for m >= 3, as two
+    ascending arrays: one over j >= 0, one over j <= 0.
+
+    |j**m - j| grows with |j| >= 1, so j runs over [-t, t], with t the
+    largest j >= 1 where j**m - j <= top.  The values ascend with j over
+    j >= 0; over j <= 0 they ascend with |j| at even m, with j at odd m.
+    """
+    t = max(int(top ** (1 / m)), 1)
+    while (t + 1) ** m - (t + 1) <= top:
+        t += 1
+    while t > 1 and t**m - t > top:
+        t -= 1
+    j = np.arange(t + 1)
+    behind = int_power(-j, m) + j
+    return int_power(j, m) - j, behind if m % 2 == 0 else behind[::-1]
+
+
+def _among(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each value is in the ascending table."""
+    return table.take(np.searchsorted(table, values), mode="clip") == values
+
+
+def cycle_candidates(m: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Which maps a*x**m + b*x + c of a grid can have a fixed point or a
+    cycle: a boolean mask that holds every map to which classify_power or
+    classify_quad gives one.
+
+    The columns are int64, in the form maps.int_coefficients gives (x**m - k
+    is (m, 1, 0, -k), with |k| < 2**60; a quadratic has |a|, |b|,
+    |c| < 2**29).  The witnesses, from the rules above:
+
+    * degree 2, x**2 - k and every quadratic: D = (b-1)**2 - 4*a*c is a
+      square or a square plus 4 (_rational_cycle);
+    * degree m >= 3: k = j**m - j for an integer j (power_fixed_points), or
+      k = 1 at even m;
+    * degree 1: k = 0, the identity.
+    """
+    flagged = np.zeros(len(m), dtype=bool)
+    two = np.flatnonzero(m == 2)
+    if two.size:
+        disc = (b[two] - 1) ** 2 - 4 * a[two] * c[two]
+        flagged[two] = _is_square(disc) | _is_square(disc - 4)
+    flagged |= (m == 1) & (c == 0)
+    degrees = np.flatnonzero(np.bincount(m))
+    for degree in degrees[degrees >= 3].tolist():
+        on = np.flatnonzero(m == degree)
+        k = -c[on]
+        ahead, behind = _fixed_point_shifts(degree, int(np.abs(k).max()))
+        hit = _among(ahead, k) | _among(behind, k)
+        if degree % 2 == 0:
+            hit |= k == 1
+        flagged[on] = hit
+    return flagged
 
 
 # ====================================================================

@@ -50,6 +50,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -74,7 +75,7 @@ from .modular import (
     max_cycle_scan,
     read_checkpoint,
 )
-from .oracle import cross_check, escape_bound, iterate_with_escape, window_cycles
+from .oracle import cross_check, escape_bound, grid_cycles, iterate_with_escape
 
 __all__ = ["main", "entrypoint", "parse_grid", "render_classification_json"]
 
@@ -153,9 +154,14 @@ def _map_payload(the_map) -> dict:
     return {"family": the_map.family, **params}
 
 
+def _label_format(cls) -> str:
+    """The str.format template of a label of a map of class cls: the family
+    name, then name=value for each parameter."""
+    return " ".join([cls.family, *(f"{f.name}={{}}" for f in fields(cls))])
+
+
 def _map_label(the_map) -> str:
-    params = [f"{f.name}={getattr(the_map, f.name)}" for f in fields(the_map)]
-    return " ".join([the_map.family, *params])
+    return _label_format(type(the_map)).format(*(getattr(the_map, f.name) for f in fields(the_map)))
 
 
 def _dump(payload) -> str:
@@ -265,34 +271,39 @@ def cmd_oracle(args) -> int:
     if args.family == "quad":
         # zero leading coefficient is not a quadratic; skipped
         values[0] = [a for a in values[0] if a != 0]
-    maps = list(itertools.starmap(FAMILIES[args.family], itertools.product(*values)))
-    if not maps:
+    cls = FAMILIES[args.family]
+    count = math.prod(map(len, values))
+    if not count:
         raise ValueError("grid contains no valid quadratics")
-    disagreements: list[dict] = []
-    lines: list[str] = []
-    # the whole grid goes through one window_cycles call, then each map is
-    # compared on its own; a label is built only where it is printed
-    for the_map, observed in zip(maps, window_cycles(maps)):
+    # only the maps that grid_cycles flags are built and compared, as every
+    # other map agrees; a label is built only where it is printed
+    disagreements: dict[int, dict] = {}
+    for i, the_map, observed in grid_cycles(cls, values):
         report = cross_check(the_map, observed)
-        verdict = "agree"
         if not report.agree:
-            command = _oracle_command(the_map)
-            disagreements.append(
-                {"map": _map_label(the_map), "diff": report.diff, "reproduce": command}
-            )
-            verdict = f"DISAGREE: {report.diff} (reproduce: {command})"
-        if args.format == "table":
-            lines.append(f"{_map_label(the_map)}: {verdict}")
+            disagreements[i] = {
+                "map": _map_label(the_map),
+                "diff": report.diff,
+                "reproduce": _oracle_command(the_map),
+            }
+    lines: list[str] = []
+    if args.format == "table":
+        label = _label_format(cls)
+        for i, params in enumerate(itertools.product(*values)):
+            verdict = "agree"
+            if found := disagreements.get(i):
+                verdict = f"DISAGREE: {found['diff']} (reproduce: {found['reproduce']})"
+            lines.append(f"{label.format(*params)}: {verdict}")
     if args.format == "json":
         payload = {
-            "checked": len(maps),
-            "agree": len(maps) - len(disagreements),
-            "disagreements": disagreements,
+            "checked": count,
+            "agree": count - len(disagreements),
+            "disagreements": list(disagreements.values()),
         }
         _emit(_dump(payload), args.out)
     else:
         lines.append(
-            f"checked {len(maps)} maps: "
+            f"checked {count} maps: "
             + ("all agree" if not disagreements else f"{len(disagreements)} disagreements")
         )
         _emit("\n".join(lines) + "\n", args.out)

@@ -38,8 +38,9 @@ A round costs numpy tens of microseconds whatever its size, more than a
 small graph's whole work, so small graphs are peeled many at a time: their
 tables are laid end to end as the blocks of one graph, each offset by its
 start.  This module owns that block-graph layer, which the oracle's escape
-windows share: peel, the batcher batches, and _BATCH_NODES, one node
-budget for both callers.  Each node records its peel round, or the tail
+windows share: peel, the batcher batches (and batch_ranges, the same cuts
+over an array of sizes, for the oracle's grids), and _BATCH_NODES, one
+node budget for both callers.  Each node records its peel round, or the tail
 bound a jump gives it, so a block's longest tail is its highest level; a
 cycle's block is found from one of its nodes.  The oracle's windows keep
 the full peel: their tails into the sink are short, and with the jump
@@ -208,6 +209,18 @@ def batches(items: Iterable, size: Callable[..., int]) -> Iterator[list]:
         nodes += n
     if batch:
         yield batch
+
+
+def batch_ranges(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The lists batches would cut from items of these sizes (an array, all
+    positive), as (start, stop) index ranges, found by searchsorted on the
+    running total rather than item by item."""
+    ends = np.cumsum(sizes)
+    start = done = 0
+    while start < len(ends):
+        stop = max(int(np.searchsorted(ends, done + _BATCH_NODES, "right")), start + 1)
+        yield start, stop
+        start, done = stop, int(ends[stop - 1])
 
 
 def peel(succ: np.ndarray, dtype, *, jump: bool) -> tuple[np.ndarray, int]:

@@ -18,29 +18,46 @@ The oracle computes the window once per map and turns it into a graph: the
 window's 2*bound + 1 seeds are nodes, seed x goes to the node of f(x) when
 |f(x)| <= bound and to a shared sink otherwise.  That is exactly the escape
 rule of iterate_with_escape, whose exception for a point fixed outside the
-window never applies to a seed inside it.  The windows of a grid are the
-blocks of modular's block-graph layer, which owns the peel, the batcher
-and the node budget of a batch; the peel strips every seed that is not on
-a cycle.  The seeds left, the sink aside, are exactly the window's
-cycles.  f is evaluated in int64, one numpy pass per degree, only where
-every intermediate provably stays below 2**62; any other map is evaluated
-with Python ints.  Each cycle is then walked once with iterate_with_escape
-from its least seed, which orders it and re-derives it exactly, and the
-harvest is compared with the classifier's answer.  The two computations
-share no formulas, which is the point.
+window never applies to a seed inside it.  A window is one row of five
+int64 columns, m, a, b, c and bound, for f = a*x**m + b*x + c.  The
+windows of a grid are the blocks of modular's block-graph layer, which
+owns the peel, the batcher and the node budget of a batch; the peel strips
+every seed that is not on a cycle.  The seeds left, the sink aside, are
+exactly the window's cycles.  f is evaluated in int64, one numpy pass per
+degree, only where every intermediate provably stays below 2**62; any
+other map is evaluated with Python ints.  Each cycle is then walked once
+with iterate_with_escape from its least seed, which orders it and
+re-derives it exactly, and the harvest is compared with the classifier's
+answer.  The two computations share no formulas, which is the point.
 
-A window of more than WINDOW_LIMIT seeds is refused before anything is
+window_cycles takes a list of maps and computes escape_bound for each.
+grid_cycles takes a product grid of parameters and builds no map it does
+not need.  The bounds of a grid come from tables of exact integers, n**m
+and n**m - n for each degree and an integer square root for quadratics,
+as whole-array operations.  Python runs per map only where a map is
+flagged: where its window holds a cycle, where classify.cycle_candidates
+finds a witness that it may have one, or where the map is off the array
+path (a subclass of a family, a parameter past _ARRAY_LIMITS, a window
+that may pass the int64 fence).  A flagged map is built, its escape_bound
+must equal its table bound, its cycles are confirmed, and the caller
+cross-checks it.  Every other map has no cycle in its window and a
+classifier answer without one, so the two agree without being built.
+
+A window of more than WINDOW_LIMIT seeds is refused before any graph is
 built.
 """
 
 from __future__ import annotations
 
+import bisect
+import inspect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import classify as classify_module
 from .kernel import iroot, max_fixed_point_floor
 from .classify import (
     ALL_FIXED,
@@ -48,9 +65,10 @@ from .classify import (
     OrbitClassification,
     classify_power,
     classify_quad,
+    cycle_candidates,
 )
 from .maps import PowerMap, QuadMap, int_coefficients
-from .modular import batches, int_power, peel
+from .modular import batch_ranges, int_power, peel
 
 __all__ = [
     "EscapeBound",
@@ -60,6 +78,7 @@ __all__ = [
     "iterate_with_escape",
     "window_cycles",
     "oracle_cycles",
+    "grid_cycles",
     "cross_check",
     "escape_is_sound",
     "WINDOW_LIMIT",
@@ -71,6 +90,10 @@ __all__ = [
 WINDOW_LIMIT = 1 << 21
 # every intermediate of an int64 evaluation stays below this
 _INT64_FENCE = 1 << 62
+# the parameters grid_cycles takes on its array path, below these in
+# absolute value: the degree and k of x**m - k, and a, b, c of a quadratic.
+# Then 1 + 4k, (b-1)**2 - 4ac and every table entry fit in int64.
+_ARRAY_LIMITS = {PowerMap: (62, 1 << 60), QuadMap: (1 << 29,) * 3}
 
 
 @dataclass(frozen=True)
@@ -176,50 +199,99 @@ def _int64_form(the_map, bound: int) -> tuple[int, int, int, int] | None:
 
 
 def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The successor array of one batch of (map, escape bound) pairs, with
-    each block's node of seed 0 and its last node.
+    """The successor array of one batch of windows, with each block's node
+    of seed 0 and its last node.
 
-    Block i holds the window of map i, and the last node is the sink.  Seed
-    x goes to the node of f(x) when |f(x)| <= bound, else to the sink,
-    which goes to itself.  Maps with an int64 form are evaluated together,
-    one numpy pass per degree; any other map is called seed by seed.
+    batch is (table, calls).  table holds the int64 columns m, a, b, c and
+    bound, one per map, and calls the maps that int64 cannot evaluate, by
+    block; their m, a, b and c are 0.  Block i holds the window of map i,
+    and the last node is the sink.  Seed x goes to the node of f(x) when
+    |f(x)| <= bound, else to the sink, which goes to itself.  f is
+    a*x**m + b*x + c, one numpy pass per degree; a map in calls is called
+    seed by seed.
     """
-    forms, rows, n = [], [], 0
-    for the_map, eb in batch:
-        bound = eb.bound
-        form = _int64_form(the_map, bound)
-        forms.append(form)
-        # a block without an int64 form gets zero coefficients, and its
-        # nodes are overwritten below
-        rows.append((*(form or (0, 0, 0, 0)), bound, n + bound))
-        n += 2 * bound + 1
-    table = np.array(rows, dtype=np.int64).T
+    table, calls = batch
+    size = 2 * table[4] + 1
+    last = np.cumsum(size) - 1
+    zeros = last - table[4]
+    n = int(last[-1]) + 1
     succ = np.empty(n + 1, dtype=np.int64)
     succ[n] = n
-    degrees = {form[0] for form in forms if form}
-    vectorised = all(forms)
-    if degrees:
-        m, a, b, c, bound, zero = np.repeat(table, 2 * table[4] + 1, axis=1)
+    degrees = np.flatnonzero(np.bincount(table[0])).tolist()
+    if degrees != [0]:
+        # a batch of x**m - k (a = 1, b = 0) repeats neither a nor b: the
+        # repeated rows are the largest arrays a batch holds
+        linear = bool((table[1] != 1).any() or table[2].any())
+        rows = [table[0], table[3], table[4], zeros, *(table[1:3] if linear else ())]
+        m, c, bound, zero, *ab = np.repeat(np.vstack(rows), size, axis=1)
         x = np.arange(n) - zero
-        if len(degrees) == 1 and vectorised:
-            power = int_power(x, degrees.pop())
+        if len(degrees) == 1:
+            y = int_power(x, degrees[0])
         else:
-            power = np.zeros_like(x)
+            y = np.zeros_like(x)
             for d in degrees:
-                on = m == d
-                power[on] = int_power(x[on], d)
-        y = a * power + b * x + c
+                if d:
+                    on = m == d
+                    y[on] = int_power(x[on], d)
+        if linear:
+            a, b = ab
+            y = a * y + b * x
+        y = y + c
         succ[:n] = np.where(np.abs(y) <= bound, zero + y, n)
-    if not vectorised:
-        for (the_map, eb), form, zero in zip(batch, forms, table[5].tolist()):
-            if form is None:
-                # exact Python ints; only node numbers go into the array
-                bound = eb.bound
-                succ[zero - bound : zero + bound + 1] = [
-                    zero + y if -bound <= y <= bound else n
-                    for y in map(the_map, range(-bound, bound + 1))
-                ]
-    return succ, table[5], table[5] + table[4]
+    for i, the_map in calls.items():
+        # exact Python ints; only node numbers go into the array
+        zero, bound = int(zeros[i]), int(table[4, i])
+        succ[zero - bound : zero + bound + 1] = [
+            zero + y if -bound <= y <= bound else n
+            for y in map(the_map, range(-bound, bound + 1))
+        ]
+    return succ, zeros, last
+
+
+def _batch_cycles(batch) -> tuple[np.ndarray, np.ndarray]:
+    """The block and the seed of every window seed of one batch (as in
+    _window_graph) that lies on a cycle, in node order."""
+    succ, zeros, last = _window_graph(batch)
+    # the full peel: window graphs have short tails into the sink
+    peeled, _ = peel(succ, bool, jump=False)
+    # the sink, last, loops on itself and is never peeled
+    nodes = np.flatnonzero(~peeled[:-1])
+    block = np.searchsorted(last, nodes)
+    return block, nodes - zeros[block]
+
+
+def _harvest(table: np.ndarray, calls: dict) -> dict[int, list[int]]:
+    """The seeds on cycles of each window that has any, ascending, by map:
+    table and calls (keys ascending) as in _window_graph, cut into batches
+    of modular's node budget."""
+    keys = list(calls)
+    found: dict[int, list[int]] = {}
+    for lo, hi in batch_ranges(2 * table[4] + 1):
+        inside = keys[bisect.bisect_left(keys, lo) : bisect.bisect_left(keys, hi)]
+        block, seeds = _batch_cycles((table[:, lo:hi], {i - lo: calls[i] for i in inside}))
+        for i, seed in zip((block + lo).tolist(), seeds.tolist()):
+            found.setdefault(i, []).append(seed)
+    return found
+
+
+def _rows(pairs) -> tuple[np.ndarray, dict]:
+    """The table and calls of _window_graph for (map, escape bound)
+    pairs."""
+    rows, calls = [], {}
+    for i, (the_map, eb) in enumerate(pairs):
+        form = _int64_form(the_map, eb.bound)
+        if form is None:
+            calls[i] = the_map
+        rows.append((*(form or (0, 0, 0, 0)), eb.bound))
+    return np.array(rows, dtype=np.int64).reshape(-1, 5).T, calls
+
+
+def _check_window(the_map, eb: EscapeBound) -> None:
+    if 2 * eb.bound + 1 > WINDOW_LIMIT:
+        raise ValueError(
+            f"the escape window of {the_map} holds {2 * eb.bound + 1} seeds, "
+            f"over the oracle's limit of {WINDOW_LIMIT}"
+        )
 
 
 _NO_CYCLES = OrbitClassification((), (), (), None)
@@ -258,23 +330,6 @@ def _confirm(the_map, eb: EscapeBound, survivors: list[int]) -> OrbitClassificat
     return OrbitClassification(fixed, two, higher, None)
 
 
-def _batch_cycles(batch) -> list[OrbitClassification]:
-    """window_cycles of one batch of (map, escape bound) pairs."""
-    succ, zeros, ends = _window_graph(batch)
-    # the full peel: window graphs have short tails into the sink
-    peeled, _ = peel(succ, bool, jump=False)
-    # the sink, last, loops on itself and is never peeled
-    nodes = np.flatnonzero(~peeled[:-1])
-    block = np.searchsorted(ends, nodes)
-    survivors: dict[int, list[int]] = {}
-    for i, seed in zip(block.tolist(), (nodes - zeros[block]).tolist()):
-        survivors.setdefault(i, []).append(seed)
-    return [
-        _confirm(the_map, eb, survivors[i]) if i in survivors else _NO_CYCLES
-        for i, (the_map, eb) in enumerate(batch)
-    ]
-
-
 def window_cycles(maps) -> list[OrbitClassification]:
     """Every cycle inside each map's escape window, one classification per
     map, in order.
@@ -290,15 +345,11 @@ def window_cycles(maps) -> list[OrbitClassification]:
     maps = list(maps)
     bounds = [escape_bound(the_map) for the_map in maps]
     for the_map, eb in zip(maps, bounds):
-        if 2 * eb.bound + 1 > WINDOW_LIMIT:
-            raise ValueError(
-                f"the escape window of {the_map} holds {2 * eb.bound + 1} seeds, "
-                f"over the oracle's limit of {WINDOW_LIMIT}"
-            )
+        _check_window(the_map, eb)
+    found = _harvest(*_rows(zip(maps, bounds)))
     return [
-        cycles
-        for batch in batches(zip(maps, bounds), lambda pair: 2 * pair[1].bound + 1)
-        for cycles in _batch_cycles(batch)
+        _confirm(the_map, eb, found[i]) if i in found else _NO_CYCLES
+        for i, (the_map, eb) in enumerate(zip(maps, bounds))
     ]
 
 
@@ -308,6 +359,183 @@ def oracle_cycles(the_map) -> OrbitClassification:
     pass ends by construction.  A grid is cheaper as one window_cycles
     call, which spreads numpy's fixed cost over many windows."""
     return window_cycles([the_map])[0]
+
+
+# ====================================================================
+# whole grids
+# ====================================================================
+
+
+def _last(m: int, top: int, s: int, cap: int) -> int:
+    """The last n in 0..cap where n**m - s*n is at most top (m >= 2,
+    s = 0 or 1, top >= 0), from the float root, moved on Python ints."""
+    n = min(int(top ** (1 / m)) + 1, cap)
+    while n and n**m - s * n > top:
+        n -= 1
+    while n < cap and (n + 1) ** m - s * (n + 1) <= top:
+        n += 1
+    return n
+
+
+def _power_bounds(m: np.ndarray, k: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """escape_bound(PowerMap(m, k)).bound for int64 columns (|k| < 2**60),
+    from one table of exact integers per degree, and whether the window
+    evaluates below the int64 fence.
+
+    Odd m: iroot(|k|, m) + 2, where iroot is one less than the number of
+    n >= 0 with n**m <= |k|.  Even m: the floor of the max fixed point for
+    k >= 1, the number of n >= 1 with n**m - n <= k, as n**m - n grows
+    with n >= 1; that number is 1 at k = 0, and the bound is 1 for k < 0.
+    A table stops at n = cap, so a bound past cap reads as cap, or cap + 2
+    at odd m: still over any window limit below 2*cap + 1 seeds.
+
+    Within such a limit, bound**m + |k| stays below the fence at even m
+    (bound**m <= bound + k) and at m = 1; at odd m >= 3 it does where
+    bound**m <= 2**61.
+    """
+    bound = np.ones_like(k)
+    inside = np.ones(len(k), dtype=bool)
+    for d in np.flatnonzero(np.bincount(m)).tolist():
+        on = np.flatnonzero(m == d)
+        shift = k[on]
+        if d == 1:
+            bound[on] = np.abs(shift) + 2
+        elif d % 2:
+            size = np.abs(shift)
+            n = np.arange(_last(d, int(size.max()), 0, cap) + 1)
+            bound[on] = np.searchsorted(int_power(n, d), size, "right") + 1
+            inside[on] = bound[on] <= _last(d, _INT64_FENCE // 2, 0, cap)
+        elif d:
+            n = np.arange(1, _last(d, max(int(shift.max()), 0), 1, cap) + 1)
+            bound[on] = np.maximum(np.searchsorted(int_power(n, d) - n, shift, "right"), 1)
+    return bound, inside
+
+
+def _quad_bounds(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """escape_bound(QuadMap(a, b, c)).bound for int64 columns (|a|, |b|,
+    |c| < 2**29).
+
+    With disc = (b-1)**2 - 4ac >= 0 the bound is the least t with
+    t*2|a| - 1 - |b| >= sqrt(disc).  The left side is an integer, so that
+    holds when it is at least s, the least integer with s**2 >= disc:
+    t = ceil((1 + |b| + s) / (2|a|)).  The float root of disc, truncated,
+    is s or s - 1, told apart by its square.
+    """
+    disc = (b - 1) ** 2 - 4 * a * c
+    s = np.sqrt(np.maximum(disc, 0)).astype(np.int64)
+    s += s * s < disc
+    t = -(-(1 + np.abs(b) + s) // (2 * np.abs(a)))
+    return np.where(disc < 0, 1, t)
+
+
+def _grid_table(cls, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of _window_graph for the maps of a product grid, with
+    which of them have table bounds and which windows evaluate in int64.
+
+    A map gets a table bound when cls is a family's own class (not a
+    subclass) and every parameter is below _ARRAY_LIMITS; every other
+    entry of the table is 1 until its map is built.
+    """
+    count = math.prod(map(len, axes))
+    table = np.ones((5, count), dtype=np.int64)
+    tabled = np.zeros(count, dtype=bool)
+    inside = np.ones(count, dtype=bool)
+    if int_coefficients(cls(*(values[0] for values in axes))) is None:
+        return table, tabled, inside
+    arrays, fits = [], []
+    for values, limit in zip(axes, _ARRAY_LIMITS[cls]):
+        fit = [abs(v) < limit for v in values]
+        arrays.append(np.array([v if ok else 1 for v, ok in zip(values, fit)], dtype=np.int64))
+        fits.append(np.array(fit))
+    tabled[:] = True
+    for fit in np.meshgrid(*fits, indexing="ij"):
+        tabled &= fit.ravel()
+    cols = [col.ravel() for col in np.meshgrid(*arrays, indexing="ij")]
+    # the columns int_coefficients gives: x**m - k is (m, 1, 0, -k)
+    if cls is PowerMap:
+        table[0], table[2], table[3] = cols[0], 0, -cols[1]
+        table[4], inside = _power_bounds(cols[0], cols[1], WINDOW_LIMIT // 2 + 1)
+    else:
+        # below _ARRAY_LIMITS, |a|*bound**2 + |b|*bound + |c| < 2**61
+        table[0], table[1:4] = 2, cols
+        table[4] = _quad_bounds(*cols)
+    return table, tabled, inside
+
+
+def _own_classifiers() -> bool:
+    """Whether cross_check's classifiers are classify's own, which
+    cycle_candidates describes; a wrapper that names its function in
+    __wrapped__ counts as that function."""
+    return (
+        inspect.unwrap(classify_power) is classify_module.classify_power
+        and inspect.unwrap(classify_quad) is classify_module.classify_quad
+    )
+
+
+def grid_cycles(cls, axes) -> list[tuple[int, object, OrbitClassification]]:
+    """The maps of a product grid that either side flags, with the
+    oracle's harvest of each.
+
+    cls is a map family's class and axes its parameter lists, in field
+    order: map i is cls(*params) for the i-th params of
+    itertools.product(*axes).  Returns (i, map, harvest) for each flagged
+    map, ascending.  The oracle flags a map whose window holds a cycle,
+    and classify.cycle_candidates a map that its witnesses say may have
+    one.  A map with no table bound, or whose window may pass the int64
+    fence, takes the per-map path and is flagged too.  Only flagged maps
+    are built.  Every other map has no cycle in its window, and
+    classify_power or classify_quad gives it none, so the two agree; when
+    cross_check's classifiers are not classify's own, every map is
+    flagged.
+
+    A flagged map's escape_bound must equal its table bound.  As in
+    window_cycles, a window over WINDOW_LIMIT refuses the grid, naming its
+    first such map, before any graph is built.
+    """
+    # a family refuses its first parameter (the degree, or a); one map for
+    # each of its values checks them as building the whole grid would
+    for v in axes[0]:
+        cls(v, *(values[0] for values in axes[1:]))
+    table, tabled, inside = _grid_table(cls, axes)
+    built: dict[int, tuple[object, EscapeBound]] = {}
+
+    def make(i: int):
+        params = []
+        for values in reversed(axes):
+            i, j = divmod(i, len(values))
+            params.append(values[j])
+        return cls(*reversed(params))
+
+    def build(i: int) -> tuple[object, EscapeBound]:
+        the_map = make(i)
+        eb = escape_bound(the_map)
+        if tabled[i] and eb.bound != table[4, i]:
+            raise RuntimeError(f"escape bound {eb.bound} of {the_map}, table bound {table[4, i]}")
+        built[i] = the_map, eb
+        return built[i]
+
+    for i in np.flatnonzero(~tabled).tolist():
+        build(i)
+    over = np.flatnonzero(tabled & (2 * table[4] + 1 > WINDOW_LIMIT))[:1].tolist()
+    over += [i for i, (_, eb) in built.items() if 2 * eb.bound + 1 > WINDOW_LIMIT][:1]
+    if over:
+        # a table bound past the limit may be cut short: name the exact one
+        the_map = make(min(over))
+        _check_window(the_map, escape_bound(the_map))
+    flagged = np.zeros(len(tabled), dtype=bool)
+    flagged[tabled] = cycle_candidates(*table[:4, tabled])
+    per_map = np.flatnonzero(~(tabled & inside)).tolist()
+    table[:, per_map], calls = _rows([built[i] if i in built else build(i) for i in per_map])
+    found = _harvest(table, {per_map[j]: the_map for j, the_map in calls.items()})
+    flagged[per_map] = True
+    flagged[list(found)] = True
+    if not _own_classifiers():
+        flagged[:] = True
+    harvests = []
+    for i in np.flatnonzero(flagged).tolist():
+        the_map, eb = built[i] if i in built else build(i)
+        harvests.append((i, the_map, _confirm(the_map, eb, found[i]) if i in found else _NO_CYCLES))
+    return harvests
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import hashlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,12 @@ from orbitforge.classify import (
     band_width_exceeds_one,
     classify_power,
     classify_quad,
+    cycle_candidates,
     power_fixed_points,
     solve_pronic,
 )
 from orbitforge.kernel import Side, frac_side_of_band_floor, max_fixed_point_floor
-from orbitforge.maps import PowerMap, QuadMap, conjugacy_of_quad
+from orbitforge.maps import PowerMap, QuadMap, conjugacy_of_quad, int_coefficients
 
 nonzero_ints = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
 
@@ -330,6 +332,41 @@ def test_classification_golden_digest():
         for k in range(-300, 3001):
             digest.update(repr(classify_power(PowerMap(m, k))).encode())
     assert digest.hexdigest() == CLASSIFICATION_SHA256
+
+
+# the oracle gate's grids (AC10, AC10b) and every degree up to 8 near 0
+CANDIDATE_GRIDS = {
+    "m2": [PowerMap(2, k) for k in range(-10, 5001)],
+    "m468": [PowerMap(m, k) for m in (4, 6, 8) for k in range(-10, 10001)],
+    "m357": [PowerMap(m, k) for m in (3, 5, 7) for k in range(-1000, 1001)],
+    "quad": [
+        QuadMap(a, b, c) for a in range(-3, 4) if a for b in range(-6, 7) for c in range(-60, 61)
+    ],
+    "m2_wide": [PowerMap(2, k) for k in range(5001, 100001)],
+    "m1_8": [PowerMap(m, k) for m in range(1, 9) for k in range(-300, 301)],
+}
+
+
+@pytest.mark.parametrize("grid", CANDIDATE_GRIDS)
+def test_cycle_candidates_hold_every_map_with_a_cycle(grid):
+    # the oracle gate compares only the maps flagged here (or by the
+    # oracle) with the classifier: a map the witnesses missed would hide a
+    # disagreement.  So every map to which the per-map classifier gives a
+    # fixed point or a cycle must be flagged; a flagged map is one with a
+    # witness of its own or the identity, never a shared cycle-free answer.
+    maps = CANDIDATE_GRIDS[grid]
+    m, a, b, c = np.array([int_coefficients(the_map) for the_map in maps], dtype=np.int64).T
+    flagged = cycle_candidates(m, a, b, c).tolist()
+    answers = [
+        classify_power(the_map) if isinstance(the_map, PowerMap) else classify_quad(the_map)
+        for the_map in maps
+    ]
+    for the_map, got, flag in zip(maps, answers, flagged):
+        if got.fixed_points or got.two_cycles or got.higher_cycles or got.behavior == ALL_FIXED:
+            assert flag, the_map
+        if flag:
+            assert got.condition is not None or got.fixed_points or got.behavior == ALL_FIXED
+    assert 0 < sum(flagged) < len(maps) / 5
 
 
 # ====================================================================

@@ -19,8 +19,10 @@ from orbitforge.cli import (
     main,
     parse_grid,
 )
+from orbitforge.classify import classify_quad
 from orbitforge.maps import PowerMap, QuadMap
 from orbitforge.modular import functional_graph, read_checkpoint
+from orbitforge.oracle import oracle_cycles, window_cycles
 
 # ====================================================================
 # grid parsing
@@ -230,15 +232,39 @@ def test_oracle_refuses_an_oversized_window(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert f"limit of {oracle_module.WINDOW_LIMIT}" in err
     assert "PowerMap(degree=2, shift=1" + "0" * 40 + ")" in err
+    # the grid names its first map over the limit, with the message of a
+    # one-map window_cycles call; a table bound that stops short of the
+    # limit still counts every seed.  Grid order is degree first.
+    for argv, first in (
+        (["--m", "2", "--k=1..3,1" + "0" * 40], PowerMap(2, 10**40)),
+        (["--m", "1,2", "--k=5,1048580,1" + "0" * 40], PowerMap(1, 1048580)),
+        (["--m", "2,1", "--k=5,1048580,1" + "0" * 40], PowerMap(2, 10**40)),
+        (["--m", "2", "--k=5,1" + "0" * 13], PowerMap(2, 10**13)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            window_cycles([first])
+        assert main(["oracle", "power", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refused.value}\n"
 
 
-def test_oracle_computes_one_escape_bound_per_map(monkeypatch, capsys):
+def test_oracle_computes_escape_bounds_of_flagged_maps_only(monkeypatch, capsys):
+    # the grid's bounds come from tables; escape_bound runs once for each
+    # map that either side flags, and for no other
+    flagged = set()
+    for q in (QuadMap(a, b, c) for a in (1, 2) for b in (-1, 0, 1) for c in range(-9, 10)):
+        seen = oracle_cycles(q)
+        if classify_quad(q).condition is not None or seen.fixed_points or seen.two_cycles:
+            flagged.add(q)
+    assert 0 < len(flagged) < 2 * 3 * 19 / 2
     calls = []
     real = oracle_module.escape_bound
     monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
     assert main(["oracle", "quad", "--a=1..2", "--b=-1..1", "--c=-9..9", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["checked"] == len(calls) == 2 * 3 * 19
+    assert json.loads(capsys.readouterr().out)["checked"] == 2 * 3 * 19
     assert len(set(calls)) == len(calls)
+    assert set(calls) == flagged
 
 
 def test_oracle_disagreement_exits_one(monkeypatch, capsys):

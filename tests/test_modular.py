@@ -312,6 +312,21 @@ def test_batches_cut_in_order_within_the_budget(sizes):
             assert sum(sizes[i] for i in lists[n - 1]) + sizes[batch[0]] > budget
 
 
+@settings(max_examples=200)
+@given(
+    sizes=st.lists(
+        st.one_of(st.integers(1, modular._BATCH_NODES // 3), st.integers(1, 2**15)),
+        max_size=40,
+    )
+)
+@example(sizes=[modular._BATCH_NODES // 2] * 3)
+@example(sizes=[2**15, 1, 5])
+def test_batch_ranges_cut_as_batches_does(sizes):
+    lists = list(modular.batches(range(len(sizes)), sizes.__getitem__))
+    ranges = list(modular.batch_ranges(np.array(sizes, dtype=np.int64)))
+    assert [list(range(lo, hi)) for lo, hi in ranges] == lists
+
+
 integer_maps = st.one_of(
     st.builds(PowerMap, st.integers(1, 6), st.integers(-50, 50)),
     st.builds(QuadMap, nonzero_ints, st.integers(-20, 20), st.integers(-20, 20)),

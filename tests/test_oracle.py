@@ -1,6 +1,7 @@
 """Brute-force oracle: escape bounds, traces, harvest, cross-checks."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from orbitforge.oracle import (
     cross_check,
     escape_bound,
     escape_is_sound,
+    grid_cycles,
     iterate_with_escape,
     oracle_cycles,
     window_cycles,
@@ -427,3 +429,137 @@ def test_window_limit_admits_a_window_of_its_size(monkeypatch):
     assert oracle_cycles(PowerMap(1, 0)).fixed_points == (-2, -1, 0, 1, 2)
     with pytest.raises(ValueError, match="limit of 5"):
         oracle_cycles(PowerMap(1, 1))
+
+
+# ====================================================================
+# whole grids
+# ====================================================================
+
+
+_NO_CYCLES = OrbitClassification((), (), (), None)
+
+
+def _product_maps(cls, axes):
+    return [cls(*params) for params in itertools.product(*axes)]
+
+
+def _check_table_bounds(cls, axes):
+    """The table bound of every map of the grid is its escape_bound, or
+    both are over WINDOW_LIMIT; a window the table keeps on the array path
+    evaluates in int64."""
+    table, tabled, inside = oracle_module._grid_table(cls, axes)
+    assert tabled.all()
+    for i, the_map in enumerate(_product_maps(cls, axes)):
+        eb = escape_bound(the_map).bound
+        if 2 * eb + 1 <= WINDOW_LIMIT:
+            assert table[4, i] == eb, the_map
+            if inside[i]:
+                assert oracle_module._int64_form(the_map, eb) is not None, the_map
+        else:
+            assert 2 * table[4, i] + 1 > WINDOW_LIMIT, the_map
+
+
+def test_power_table_bounds_equal_escape_bound():
+    _check_table_bounds(PowerMap, [list(range(1, 9)), list(range(-300, 301))])
+    # the ends of the array path (|k| < 2**60), the shifts where a window
+    # reaches WINDOW_LIMIT, and both sides of perfect powers near them
+    top = (1 << 60) - 1
+    half = WINDOW_LIMIT // 2
+    for m in range(1, 9):
+        ks = {top, -top, top - 1, -top + 1}
+        for n in (half - 3, half - 2, half - 1, half, 2**10, 3**7):
+            for k in (n**m - n, n**m, n - n**m, -(n**m)):
+                ks.update(k + d for d in (-1, 0, 1) if abs(k + d) <= top)
+        _check_table_bounds(PowerMap, [[m], sorted(ks)])
+    # high degrees on small shifts, where odd windows leave int64
+    _check_table_bounds(PowerMap, [list(range(9, 62)), list(range(-40, 41))])
+
+
+def test_quad_table_bounds_equal_escape_bound():
+    _check_table_bounds(
+        QuadMap, [[a for a in range(-6, 7) if a], list(range(-12, 13)), list(range(-60, 61))]
+    )
+    # the ends of the array path: |a|, |b|, |c| < 2**29
+    end = (1 << 29) - 1
+    near = sorted({-end, -end + 1, -1, 1, end - 1, end})
+    _check_table_bounds(QuadMap, [near, [*near, 0], [*near, 0]])
+
+
+def test_grid_cycles_match_window_cycles():
+    # the flagged maps carry window_cycles' harvest; every other map has
+    # no cycle in its window and a classifier answer without one
+    grids = [
+        (PowerMap, [list(range(1, 10)), list(range(-300, 301))]),
+        (QuadMap, [[a for a in range(-3, 4) if a], list(range(-6, 7)), list(range(-60, 61))]),
+        # off the array path: high degree, shifts past 2**60, windows past
+        # the int64 fence (x**41 - 1), and quads past 2**29
+        (PowerMap, [[5, 41, 61, 62, 64], [-2, -1, 0, 1, 2, 3, 30, 2**60, -(2**60), 2**62]]),
+        (QuadMap, [[1, -(2**29), 2**62], [-1, 0, 3], [-(2**29), -2, 0, 2**62]]),
+    ]
+    for cls, axes in grids:
+        maps = _product_maps(cls, axes)
+        flagged = {i: (the_map, seen) for i, the_map, seen in grid_cycles(cls, axes)}
+        assert 0 < len(flagged) < len(maps)
+        for i, (the_map, seen) in enumerate(zip(maps, window_cycles(maps))):
+            if i in flagged:
+                assert flagged[i] == (the_map, seen)
+            else:
+                assert seen == _NO_CYCLES, the_map
+                assert cross_check(the_map, seen).agree
+                got = classify_power(the_map) if cls is PowerMap else classify_quad(the_map)
+                assert not (got.fixed_points or got.two_cycles or got.higher_cycles), the_map
+
+
+def test_grid_cycles_flag_every_map_off_the_array_path(monkeypatch):
+    # a subclass may redefine its map: nothing of it is read off a table
+    axes = [[2], list(range(10, 31))]
+    flagged = grid_cycles(_Planted, axes)
+    assert [i for i, _, _ in flagged] == list(range(21))
+    assert all(type(the_map) is _Planted for _, the_map, _ in flagged)
+    assert flagged[10][2].higher_cycles == (Cycle(3, (1, 3, 2)),)
+    # another classifier under cross_check's names is not what the
+    # witnesses describe; a wrapper that names classify's own in
+    # __wrapped__ is
+    own = [i for i, _, _ in grid_cycles(PowerMap, axes)]
+    assert len(own) < 21
+
+    def wrapped(power):
+        return classify_power(power)
+
+    monkeypatch.setattr(oracle_module, "classify_power", wrapped)
+    assert [i for i, _, _ in grid_cycles(PowerMap, axes)] == list(range(21))
+    wrapped.__wrapped__ = classify_power
+    assert [i for i, _, _ in grid_cycles(PowerMap, axes)] == own
+
+
+def test_grid_cycles_refuse_an_escape_bound_off_the_table(monkeypatch):
+    real = oracle_module.escape_bound
+
+    def off_by_one(the_map):
+        eb = real(the_map)
+        return oracle_module.EscapeBound(eb.bound + 1, eb.justification)
+
+    monkeypatch.setattr(oracle_module, "escape_bound", off_by_one)
+    # x**2 - 6 has fixed points, so the grid builds it and checks its bound
+    with pytest.raises(RuntimeError, match="table bound 3"):
+        grid_cycles(PowerMap, [[2], [5, 6]])
+
+
+def test_grid_cycles_flag_a_window_cycle_the_witnesses_miss(monkeypatch):
+    # the oracle side flags on its own: with no witness at all, every map
+    # whose window holds a cycle is still built and harvested
+    axes = [[2, 3, 4], list(range(-5, 40))]
+    maps = _product_maps(PowerMap, axes)
+    with_cycles = [i for i, seen in enumerate(window_cycles(maps)) if seen != _NO_CYCLES]
+    monkeypatch.setattr(oracle_module, "cycle_candidates", lambda m, a, b, c: m < 0)
+    flagged = grid_cycles(PowerMap, axes)
+    assert [i for i, _, _ in flagged] == with_cycles
+    assert all(seen == oracle_cycles(the_map) for _, the_map, seen in flagged)
+
+
+def test_grid_window_limit_counts_every_seed(monkeypatch):
+    # an odd limit: x**2 - 6 has a window of 7 seeds, x**2 - 2 one of 5
+    monkeypatch.setattr(oracle_module, "WINDOW_LIMIT", 5)
+    assert [i for i, _, _ in grid_cycles(PowerMap, [[2], [2, 3]])] == [0, 1]
+    with pytest.raises(ValueError, match="holds 7 seeds, over the oracle's limit of 5"):
+        grid_cycles(PowerMap, [[2], [2, 6]])
