@@ -30,18 +30,19 @@ with iterate_with_escape from its least seed, which orders it and
 re-derives it exactly, and the harvest is compared with the classifier's
 answer.  The two computations share no formulas, which is the point.
 
-window_cycles takes a list of maps and computes escape_bound for each.
-grid_cycles takes a product grid of parameters and builds no map it does
-not need.  The bounds of a grid come from tables of exact integers, n**m
-and n**m - n for each degree and an integer square root for quadratics,
-as whole-array operations.  Python runs per map only where a map is
-flagged: where its window holds a cycle, where classify.cycle_candidates
-finds a witness that it may have one, or where the map is off the array
-path (a subclass of a family, a parameter past _ARRAY_LIMITS, a window
-that may pass the int64 fence).  A flagged map is built, its escape_bound
-must equal its table bound, its cycles are confirmed, and the caller
-cross-checks it.  Every other map has no cycle in its window and a
-classifier answer without one, so the two agree without being built.
+grid_cycles is the one way into the window graph.  It takes a product
+grid of parameters and builds no map it does not need; oracle_cycles runs
+a grid of one map.  The bounds of a grid come from tables of exact
+integers, n**m and n**m - n for each degree and an integer square root
+for quadratics, as whole-array operations.  Python runs per map only
+where a map is flagged: where its window holds a cycle, where
+classify.cycle_candidates finds a witness that it may have one, or where
+the map is off the array path (a subclass of a family, a parameter past
+_ARRAY_LIMITS, a window that may pass the int64 fence).  A flagged map is
+built, its escape_bound must equal its table bound, its cycles are
+confirmed, and the caller cross-checks it.  Every other map has no cycle
+in its window and a classifier answer without one, so the two agree
+without being built.
 
 A window of more than WINDOW_LIMIT seeds is refused before any graph is
 built.
@@ -52,7 +53,7 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +77,6 @@ __all__ = [
     "CrossCheckReport",
     "escape_bound",
     "iterate_with_escape",
-    "window_cycles",
     "oracle_cycles",
     "grid_cycles",
     "cross_check",
@@ -330,37 +330,6 @@ def _confirm(the_map, eb: EscapeBound, survivors: list[int]) -> OrbitClassificat
     return OrbitClassification(fixed, two, higher, None)
 
 
-def window_cycles(maps) -> list[OrbitClassification]:
-    """Every cycle inside each map's escape window, one classification per
-    map, in order.
-
-    Deterministic: one escape bound per map, then the window graph (see the
-    module docstring).  The peel ends after at most as many rounds as the
-    graph has nodes, so no seed needs a step cap: the pigeonhole argument
-    that a capped walk relied on is built into the graph.  A map whose
-    window holds more than WINDOW_LIMIT seeds is refused with ValueError
-    before any array is built.  behavior is left None; the oracle observes,
-    it does not prove limits.
-    """
-    maps = list(maps)
-    bounds = [escape_bound(the_map) for the_map in maps]
-    for the_map, eb in zip(maps, bounds):
-        _check_window(the_map, eb)
-    found = _harvest(*_rows(zip(maps, bounds)))
-    return [
-        _confirm(the_map, eb, found[i]) if i in found else _NO_CYCLES
-        for i, (the_map, eb) in enumerate(zip(maps, bounds))
-    ]
-
-
-def oracle_cycles(the_map) -> OrbitClassification:
-    """Every cycle inside the map's escape window, read off its window
-    graph: window_cycles([the_map])[0].  No orbit is capped; the graph
-    pass ends by construction.  A grid is cheaper as one window_cycles
-    call, which spreads numpy's fixed cost over many windows."""
-    return window_cycles([the_map])[0]
-
-
 # ====================================================================
 # whole grids
 # ====================================================================
@@ -488,9 +457,11 @@ def grid_cycles(cls, axes) -> list[tuple[int, object, OrbitClassification]]:
     cross_check's classifiers are not classify's own, every map is
     flagged.
 
-    A flagged map's escape_bound must equal its table bound.  As in
-    window_cycles, a window over WINDOW_LIMIT refuses the grid, naming its
-    first such map, before any graph is built.
+    A flagged map's escape_bound must equal its table bound.  A window
+    over WINDOW_LIMIT refuses the grid with ValueError, naming its first
+    such map, before any graph is built.  The peel ends after at most as
+    many rounds as the graph has nodes, so no seed needs a step cap.
+    behavior is left None; the oracle observes, it does not prove limits.
     """
     # a family refuses its first parameter (the degree, or a); one map for
     # each of its values checks them as building the whole grid would
@@ -538,6 +509,15 @@ def grid_cycles(cls, axes) -> list[tuple[int, object, OrbitClassification]]:
     return harvests
 
 
+def oracle_cycles(the_map) -> OrbitClassification:
+    """Every cycle inside the map's escape window: grid_cycles over the
+    grid of one map, one value for each of its dataclass fields.  A map
+    that neither side flags has no cycle in its window."""
+    axes = [[getattr(the_map, field.name)] for field in fields(the_map)]
+    harvests = grid_cycles(type(the_map), axes)
+    return harvests[0][2] if harvests else _NO_CYCLES
+
+
 @dataclass(frozen=True)
 class CrossCheckReport:
     """Structural comparison of classifier prediction and oracle harvest."""
@@ -552,10 +532,10 @@ class CrossCheckReport:
 def cross_check(the_map, observed: OrbitClassification | None = None) -> CrossCheckReport:
     """Compare classifier and oracle on one map.
 
-    observed is the oracle's harvest for the map, from a window_cycles call
-    over a whole grid; without it the map's own oracle_cycles is run.  A
-    nonempty higher_cycles from the oracle is always a reported anomaly:
-    no supported map has integral cycles of period above 2.
+    observed is the oracle's harvest for the map, from a grid_cycles call
+    over a whole grid; without it oracle_cycles runs the grid of this one
+    map.  A nonempty higher_cycles from the oracle is always a reported
+    anomaly: no supported map has integral cycles of period above 2.
     """
     if isinstance(the_map, PowerMap):
         predicted = classify_power(the_map)

@@ -1,12 +1,13 @@
-"""Acceptance gate: ten end-to-end criteria and a wider oracle gate, one
-printed verdict line each.
+"""Acceptance gate: ten end-to-end criteria and three wider oracle gates,
+one printed verdict line each.
 
 Every test prints exactly one line, "ACn: PASS (...)" or "ACn: FAIL (...)"
-(AC10b for the wider gate), carrying the tolerance in force and the
+(AC10b and AC10c for the wider gates), carrying the tolerance in force and the
 measured runtime against its budget.
 Run with `pytest -rA` (or `-s`) to see the lines.
 """
 
+import itertools
 import json
 import random
 import time
@@ -14,6 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from orbitforge.classify import (
+    OrbitClassification,
     band_gap_checks,
     band_integers,
     band_width_decimal,
@@ -23,7 +25,7 @@ from orbitforge.classify import (
 from orbitforge.cli import main as cli_main
 from orbitforge.maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check
 from orbitforge.modular import functional_graph, max_cycle_scan, naive_graph_oracle
-from orbitforge.oracle import cross_check, window_cycles
+from orbitforge.oracle import cross_check, grid_cycles
 
 
 @contextmanager
@@ -41,18 +43,23 @@ def criterion(name: str, budget_s: float, tolerance: str):
     assert elapsed < budget_s, f"{name}: runtime {elapsed:.2f}s over budget {budget_s:.0f}s"
 
 
-def grid_reports(maps) -> dict:
-    """cross_check of each map of a grid, in order, fed by one window_cycles
-    call over the whole grid, as the oracle subcommand runs a grid."""
-    maps = list(maps)
-    return {m: cross_check(m, observed) for m, observed in zip(maps, window_cycles(maps))}
+NO_CYCLES = OrbitClassification((), (), (), None)
+
+
+def grid_reports(cls, axes) -> dict:
+    """cross_check of every map of a product grid, in order.  One
+    grid_cycles call runs the grid, as the oracle subcommand does.  A map
+    it does not flag is checked against a harvest with no cycle."""
+    flagged = {i: seen for i, _, seen in grid_cycles(cls, axes)}
+    maps = (cls(*params) for params in itertools.product(*axes))
+    return {m: cross_check(m, flagged.get(i, NO_CYCLES)) for i, m in enumerate(maps)}
 
 
 def test_ac01_degree_two_grid_equivalence():
     # single-threaded sweep; cycles exist exactly at the pronic and
     # pronic-plus-one shifts, nothing of period 3 or more anywhere
     with criterion("AC1", 10.0, "exact"):
-        for the_map, report in grid_reports(PowerMap(2, k) for k in range(-10, 5001)).items():
+        for the_map, report in grid_reports(PowerMap, [[2], range(-10, 5001)]).items():
             k = the_map.shift
             assert report.agree, (k, report.diff)
             observed = report.observed
@@ -73,8 +80,7 @@ def test_ac01_degree_two_grid_equivalence():
 
 def test_ac02_even_degree_grid():
     with criterion("AC2", 60.0, "exact"):
-        grid = (PowerMap(m, k) for m in (4, 6, 8) for k in range(-10, 10001))
-        for the_map, report in grid_reports(grid).items():
+        for the_map, report in grid_reports(PowerMap, [[4, 6, 8], range(-10, 10001)]).items():
             m, k = the_map.degree, the_map.shift
             assert report.agree, (m, k, report.diff)
             observed = report.observed
@@ -87,7 +93,7 @@ def test_ac02_even_degree_grid():
 
 def test_ac03_odd_degree_grid():
     with criterion("AC3", 30.0, "exact"):
-        reports = grid_reports(PowerMap(m, k) for m in (3, 5, 7) for k in range(-1000, 1001))
+        reports = grid_reports(PowerMap, [[3, 5, 7], range(-1000, 1001)])
         for the_map, report in reports.items():
             m, k = the_map.degree, the_map.shift
             assert report.agree, (m, k, report.diff)
@@ -101,14 +107,8 @@ def test_ac03_odd_degree_grid():
 
 def test_ac04_quadratic_grid():
     with criterion("AC4", 120.0, "exact"):
-        grid = (
-            QuadMap(a, b, c)
-            for a in range(-3, 4)
-            if a
-            for b in range(-6, 7)
-            for c in range(-60, 61)
-        )
-        reports = grid_reports(grid)
+        a_values = [a for a in range(-3, 4) if a]
+        reports = grid_reports(QuadMap, [a_values, range(-6, 7), range(-60, 61)])
         for the_map, report in reports.items():
             assert report.agree, (the_map.a, the_map.b, the_map.c, report.diff)
         # worked families inside the grid: shifts of the degree-2 story
@@ -293,3 +293,19 @@ def test_ac10b_wide_degree_two_gate(capsys):
         assert rc == 0
         assert payload["disagreements"] == []
         assert payload["checked"] == payload["agree"] == 95000
+
+
+def test_ac10c_wide_power_and_quad_gates(capsys):
+    # the two wide grids of CI's packaging run, in process: every degree
+    # from 3 to 8, and the quadratic box of AC4 widened four to eight times
+    with criterion("AC10c", 30.0, "exit code 0 and zero disagreements on both grids"):
+        grids = [
+            (["oracle", "power", "--m", "3,4,5,6,7,8", "--k=-20000..20000"], 6 * 40001),
+            (["oracle", "quad", "--a=-6..6", "--b=-12..12", "--c=-500..500"], 12 * 25 * 1001),
+        ]
+        for grid, count in grids:
+            rc = cli_main(grid + ["--format", "json"])
+            payload = json.loads(capsys.readouterr().out)
+            assert rc == 0, grid
+            assert payload["disagreements"] == []
+            assert payload["checked"] == payload["agree"] == count

@@ -22,7 +22,7 @@ from orbitforge.cli import (
 from orbitforge.classify import classify_quad
 from orbitforge.maps import PowerMap, QuadMap
 from orbitforge.modular import functional_graph, read_checkpoint
-from orbitforge.oracle import oracle_cycles, window_cycles
+from orbitforge.oracle import oracle_cycles
 
 # ====================================================================
 # grid parsing
@@ -233,7 +233,7 @@ def test_oracle_refuses_an_oversized_window(monkeypatch, capsys):
     assert f"limit of {oracle_module.WINDOW_LIMIT}" in err
     assert "PowerMap(degree=2, shift=1" + "0" * 40 + ")" in err
     # the grid names its first map over the limit, with the message of a
-    # one-map window_cycles call; a table bound that stops short of the
+    # one-map oracle_cycles call; a table bound that stops short of the
     # limit still counts every seed.  Grid order is degree first.
     for argv, first in (
         (["--m", "2", "--k=1..3,1" + "0" * 40], PowerMap(2, 10**40)),
@@ -242,7 +242,12 @@ def test_oracle_refuses_an_oversized_window(monkeypatch, capsys):
         (["--m", "2", "--k=5,1" + "0" * 13], PowerMap(2, 10**13)),
     ):
         with pytest.raises(ValueError) as refused:
-            window_cycles([first])
+            oracle_cycles(first)
+        seeds = 2 * oracle_module.escape_bound(first).bound + 1
+        assert str(refused.value) == (
+            f"the escape window of {first} holds {seeds} seeds, "
+            f"over the oracle's limit of {oracle_module.WINDOW_LIMIT}"
+        )
         assert main(["oracle", "power", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from orbitforge.oracle import (
     grid_cycles,
     iterate_with_escape,
     oracle_cycles,
-    window_cycles,
 )
 
 nonzero_ints = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
@@ -254,20 +254,38 @@ def test_cross_check_quad_slice(a, b, c):
     assert cross_check(QuadMap(a, b, c)).agree
 
 
+_NO_CYCLES = OrbitClassification((), (), (), None)
+
+
+def _product_maps(cls, axes):
+    return [cls(*params) for params in itertools.product(*axes)]
+
+
+def _grid_harvests(cls, axes) -> list[OrbitClassification]:
+    """The oracle's harvest of every map of a product grid, in order:
+    grid_cycles' for each map it flags, _NO_CYCLES for every other."""
+    harvests = [_NO_CYCLES] * math.prod(map(len, axes))
+    for i, _, seen in grid_cycles(cls, axes):
+        harvests[i] = seen
+    return harvests
+
+
 ORACLE_SHA256 = "040e7e1202698cef66dd33516fb0734a870d4411fc87a1bae9e3481a2b14bc39"
 
 
 def test_oracle_cycles_golden_digest():
     # degree 1 stops at k = 300: its window holds 2|k| + 5 seeds, so the
     # classifier digest's k <= 3000 would scan 9 million of them
-    maps = [PowerMap(m, k) for m in range(1, 9) for k in range(-300, 301 if m == 1 else 3001)]
-    maps += [
-        QuadMap(a, b, c) for a in range(-3, 4) if a for b in range(-6, 7) for c in range(-60, 61)
+    grids = [
+        (PowerMap, [[1], list(range(-300, 301))]),
+        (PowerMap, [list(range(2, 9)), list(range(-300, 3001))]),
+        (QuadMap, [[a for a in range(-3, 4) if a], list(range(-6, 7)), list(range(-60, 61))]),
     ]
     digest = hashlib.sha256()
-    # one window_cycles call over the grid, as the oracle subcommand makes
-    for observed in window_cycles(maps):
-        digest.update(repr(observed).encode())
+    # one grid_cycles call per grid, as the oracle subcommand makes
+    for cls, axes in grids:
+        for observed in _grid_harvests(cls, axes):
+            digest.update(repr(observed).encode())
     assert digest.hexdigest() == ORACLE_SHA256
 
 
@@ -289,80 +307,6 @@ def _harvest_by_trace(the_map) -> OrbitClassification:
     )
 
 
-@settings(max_examples=60)
-@given(
-    the_map=st.one_of(
-        st.builds(PowerMap, st.integers(1, 8), st.integers(-50, 2000)),
-        # the AC4 box
-        st.builds(
-            QuadMap, st.integers(-3, 3).filter(bool), st.integers(-6, 6), st.integers(-60, 60)
-        ),
-    )
-)
-def test_oracle_cycles_matches_per_seed_traces(the_map):
-    assert oracle_cycles(the_map) == _harvest_by_trace(the_map)
-
-
-def test_oracle_cycles_computes_one_bound_per_map(monkeypatch):
-    calls = []
-    real = oracle_module.escape_bound
-    monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
-    the_map = PowerMap(2, 3000)
-    oracle_cycles(the_map)
-    assert calls == [the_map]
-
-
-def test_oracle_cycles_is_a_one_map_window_cycles():
-    maps = [PowerMap(m, k) for m in (1, 2, 3, 6) for k in range(-40, 41)]
-    assert window_cycles(maps) == [oracle_cycles(m) for m in maps]
-    assert window_cycles([]) == []
-
-
-def test_window_cycles_spans_batches():
-    # ~600 seeds a window: the grid fills several batches
-    maps = [PowerMap(2, k) for k in range(90000, 90100)]
-    assert sum(2 * escape_bound(m).bound + 1 for m in maps) > 3 * modular_module._BATCH_NODES
-    assert window_cycles(maps) == [_harvest_by_trace(m) for m in maps]
-
-
-def test_window_cycles_across_the_int64_fence(monkeypatch):
-    # maps whose values pass 2**62 are evaluated with Python ints, maps just
-    # below it in int64; all share one batch with small maps between them,
-    # and then go through the default batching
-    fast = [
-        PowerMap(9, 2**60),  # bound 103, values to ~2**60.2
-        QuadMap(2**59, 0, -(2**59)),  # bound 2: 5 * 2**59
-    ]
-    python_ints = [
-        QuadMap(2**62, 0, -(2**62)),  # window [-2, 2], f(2) = 3 * 2**62
-        QuadMap(-(2**62), 1, 2**62),  # fixed points -1 and 1
-        QuadMap(2**60, 0, -(2**60)),
-        PowerMap(7, 2**62),
-        PowerMap(5, -(2**62)),
-        PowerMap(64, 0),  # degree 62 and up: window {-1, 0, 1}
-    ]
-    small = [PowerMap(2, 6), QuadMap(1, 2, -7), PowerMap(2, 7), QuadMap(1, 1, -2), PowerMap(6, 1)]
-    maps = [
-        small[0], python_ints[0], fast[0], small[1], python_ints[1], python_ints[2],
-        small[2], fast[1], python_ints[3], small[3], python_ints[4], small[4], python_ints[5],
-    ]
-    bounds = {m: escape_bound(m).bound for m in maps}
-    assert bounds[python_ints[0]] == 2
-    for m in fast + small:
-        assert oracle_module._int64_form(m, bounds[m]) is not None, m
-    for m in python_ints:
-        assert oracle_module._int64_form(m, bounds[m]) is None, m
-    expected = [_harvest_by_trace(m) for m in maps]
-    assert expected[4].fixed_points == (-1, 1)
-    assert window_cycles(maps) == expected
-    batches = []
-    real = oracle_module._batch_cycles
-    monkeypatch.setattr(oracle_module, "_batch_cycles", lambda b: batches.append(b) or real(b))
-    monkeypatch.setattr(modular_module, "_BATCH_NODES", sum(2 * b + 1 for b in bounds.values()))
-    assert window_cycles(maps) == expected
-    assert len(batches) == 1
-
-
 class _Planted(PowerMap):
     """x**2 - 20 with the 3-cycle 1 -> 3 -> 2 -> 1 planted in its window
     [-5, 5]; every other shift is left alone."""
@@ -373,15 +317,111 @@ class _Planted(PowerMap):
         return super().__call__(x)
 
 
+@settings(max_examples=60)
+@given(
+    the_map=st.one_of(
+        st.builds(PowerMap, st.integers(1, 8), st.integers(-50, 2000)),
+        # the AC4 box
+        st.builds(
+            QuadMap, st.integers(-3, 3).filter(bool), st.integers(-6, 6), st.integers(-60, 60)
+        ),
+        # off the array path, each window small: a subclass, degree 62 and
+        # up, shifts past 2**60 at degree 7 and up, and quads whose leading
+        # coefficient is past 2**29 and divides c up to a small rest
+        st.builds(_Planted, st.just(2), st.integers(-5, 40)),
+        st.builds(PowerMap, st.integers(62, 70), st.integers(-(2**64), 2**64)),
+        st.builds(
+            PowerMap,
+            st.integers(7, 12),
+            st.one_of(st.integers(2**60, 2**64), st.integers(-(2**64), -(2**60))),
+        ),
+        st.builds(
+            lambda a, b, j, rest: QuadMap(a, b, a * j + rest),
+            st.one_of(st.integers(2**29, 2**64), st.integers(-(2**64), -(2**29))),
+            st.integers(-6, 6),
+            st.integers(-9, 9),
+            st.integers(-60, 60),
+        ),
+    )
+)
+def test_oracle_cycles_matches_per_seed_traces(the_map):
+    assert oracle_cycles(the_map) == _harvest_by_trace(the_map)
+
+
+def test_oracle_cycles_computes_one_bound_per_map(monkeypatch):
+    # at most one bound, and only for a map that either side flags: a map
+    # on the array path that neither flags takes its bound from a table
+    calls = []
+    real = oracle_module.escape_bound
+    monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
+    assert oracle_cycles(PowerMap(2, 3000)) == _NO_CYCLES
+    assert calls == []
+    # 3080 = 55 * 56: fixed points -55 and 56; degree 64 and the subclass
+    # take the per-map path
+    for the_map in (PowerMap(2, 3080), PowerMap(64, 0), _Planted(2, 20)):
+        calls.clear()
+        assert oracle_cycles(the_map) != _NO_CYCLES
+        assert calls == [the_map]
+
+
+def test_grid_cycles_span_batches():
+    # ~600 seeds a window: the grid fills several batches; the shifts
+    # 89700 = 299 * 300 and 89701 have cycles
+    axes = [[2], list(range(89650, 89750))]
+    maps = _product_maps(PowerMap, axes)
+    assert sum(2 * escape_bound(m).bound + 1 for m in maps) > 3 * modular_module._BATCH_NODES
+    expected = [_harvest_by_trace(m) for m in maps]
+    assert expected[50].fixed_points == (-299, 300)
+    assert _grid_harvests(PowerMap, axes) == expected
+
+
+def test_grid_cycles_across_the_int64_fence(monkeypatch):
+    # a parameter past _ARRAY_LIMITS sends its map down the per-map path,
+    # where a window whose values stay below 2**62 is still evaluated in
+    # int64 and any other with Python ints.  Each grid puts both kinds
+    # between array-path windows in one batch, and then goes through the
+    # default batching.
+    grids = [
+        (PowerMap, [[2, 7, 9, 64], [-(2**62), -(2**60), 0, 6, 7, 20]]),
+        (QuadMap, [[1, 2**59, -(2**62), 2**62], [0, 1, 2], [-7, -6, -2, 0]]),
+    ]
+    expected = {}
+    for cls, axes in grids:
+        maps = _product_maps(cls, axes)
+        _, tabled, inside = oracle_module._grid_table(cls, axes)
+        kinds = set()
+        for the_map, on_table in zip(maps, (tabled & inside).tolist()):
+            form = oracle_module._int64_form(the_map, escape_bound(the_map).bound)
+            kinds.add("array" if on_table else "int64" if form else "python")
+            assert form or not on_table, the_map
+        assert kinds == {"array", "int64", "python"}
+        expected[cls] = [_harvest_by_trace(m) for m in maps]
+        assert _grid_harvests(cls, axes) == expected[cls]
+    # Python-int windows with fixed points, between int64 blocks
+    assert expected[PowerMap][3 * 6 + 2].fixed_points == (0, 1)  # x**64
+    assert expected[QuadMap][2 * 12 + 1 * 4 + 3].fixed_points == (0,)
+    batches = []
+    real = oracle_module._batch_cycles
+    monkeypatch.setattr(oracle_module, "_batch_cycles", lambda b: batches.append(b) or real(b))
+    for cls, axes in grids:
+        maps = _product_maps(cls, axes)
+        budget = sum(2 * escape_bound(m).bound + 1 for m in maps)
+        monkeypatch.setattr(modular_module, "_BATCH_NODES", budget)
+        batches.clear()
+        assert _grid_harvests(cls, axes) == expected[cls]
+        assert len(batches) == 1
+
+
 def test_planted_three_cycle_is_reported(monkeypatch, capsys):
-    # the planted map is called seed by seed, between blocks evaluated in int64
-    maps = [PowerMap(2, k) for k in range(10, 20)] + [_Planted(2, 20)]
-    maps += [PowerMap(2, k) for k in range(21, 31)]
-    got = window_cycles(maps)
+    # the subclass is called seed by seed; its other shifts keep the
+    # family's harvest
+    got = [seen for _, _, seen in grid_cycles(_Planted, [[2], list(range(10, 31))])]
     planted = got[10]
     assert planted.higher_cycles == (Cycle(3, (1, 3, 2)),)
     assert planted.fixed_points == (-4, 5)
-    assert got[:10] + got[11:] == [oracle_cycles(m) for m in maps[:10] + maps[11:]]
+    assert planted == oracle_cycles(_Planted(2, 20)) == _harvest_by_trace(_Planted(2, 20))
+    others = [k for k in range(10, 31) if k != 20]
+    assert got[:10] + got[11:] == [_harvest_by_trace(PowerMap(2, k)) for k in others]
     report = cross_check(_Planted(2, 20), planted)
     assert not report.agree
     assert report.diff.startswith("anomaly: cycles of period > 2")
@@ -406,7 +446,7 @@ def test_window_confirmation_refuses_a_graph_the_map_contradicts(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "_window_graph", forged)
     with pytest.raises(RuntimeError, match="does not close"):
-        window_cycles([PowerMap(2, 7)])
+        oracle_cycles(PowerMap(2, 7))
 
 
 def test_oversized_window_is_refused_before_any_graph(monkeypatch):
@@ -421,7 +461,7 @@ def test_oversized_window_is_refused_before_any_graph(monkeypatch):
         oracle_cycles(over)
     # one bad map refuses its whole grid
     with pytest.raises(ValueError, match=f"limit of {WINDOW_LIMIT}"):
-        window_cycles([PowerMap(2, 5), PowerMap(2, 10**40)])
+        grid_cycles(PowerMap, [[2], [5, 10**40]])
 
 
 def test_window_limit_admits_a_window_of_its_size(monkeypatch):
@@ -434,13 +474,6 @@ def test_window_limit_admits_a_window_of_its_size(monkeypatch):
 # ====================================================================
 # whole grids
 # ====================================================================
-
-
-_NO_CYCLES = OrbitClassification((), (), (), None)
-
-
-def _product_maps(cls, axes):
-    return [cls(*params) for params in itertools.product(*axes)]
 
 
 def _check_table_bounds(cls, axes):
@@ -485,22 +518,25 @@ def test_quad_table_bounds_equal_escape_bound():
     _check_table_bounds(QuadMap, [near, [*near, 0], [*near, 0]])
 
 
-def test_grid_cycles_match_window_cycles():
-    # the flagged maps carry window_cycles' harvest; every other map has
-    # no cycle in its window and a classifier answer without one
+def test_grid_cycles_match_per_seed_traces():
+    # the flagged maps carry the harvest of per-seed traces; every other
+    # map has no cycle in its window and a classifier answer without one
     grids = [
         (PowerMap, [list(range(1, 10)), list(range(-300, 301))]),
         (QuadMap, [[a for a in range(-3, 4) if a], list(range(-6, 7)), list(range(-60, 61))]),
         # off the array path: high degree, shifts past 2**60, windows past
-        # the int64 fence (x**41 - 1), and quads past 2**29
+        # the int64 fence (x**41 - 1), and quads past 2**29 (c stops at
+        # 2**40: a = -(2**29) with c = 2**62 has a window of 185,365 seeds,
+        # 2 s of per-seed traces)
         (PowerMap, [[5, 41, 61, 62, 64], [-2, -1, 0, 1, 2, 3, 30, 2**60, -(2**60), 2**62]]),
-        (QuadMap, [[1, -(2**29), 2**62], [-1, 0, 3], [-(2**29), -2, 0, 2**62]]),
+        (QuadMap, [[1, -(2**29), 2**62], [-1, 0, 3], [-(2**29), -2, 0, 2**40]]),
     ]
     for cls, axes in grids:
         maps = _product_maps(cls, axes)
         flagged = {i: (the_map, seen) for i, the_map, seen in grid_cycles(cls, axes)}
         assert 0 < len(flagged) < len(maps)
-        for i, (the_map, seen) in enumerate(zip(maps, window_cycles(maps))):
+        for i, the_map in enumerate(maps):
+            seen = _harvest_by_trace(the_map)
             if i in flagged:
                 assert flagged[i] == (the_map, seen)
             else:
@@ -550,11 +586,11 @@ def test_grid_cycles_flag_a_window_cycle_the_witnesses_miss(monkeypatch):
     # whose window holds a cycle is still built and harvested
     axes = [[2, 3, 4], list(range(-5, 40))]
     maps = _product_maps(PowerMap, axes)
-    with_cycles = [i for i, seen in enumerate(window_cycles(maps)) if seen != _NO_CYCLES]
+    with_cycles = [i for i, m in enumerate(maps) if _harvest_by_trace(m) != _NO_CYCLES]
     monkeypatch.setattr(oracle_module, "cycle_candidates", lambda m, a, b, c: m < 0)
     flagged = grid_cycles(PowerMap, axes)
     assert [i for i, _, _ in flagged] == with_cycles
-    assert all(seen == oracle_cycles(the_map) for _, the_map, seen in flagged)
+    assert all(seen == _harvest_by_trace(the_map) for _, the_map, seen in flagged)
 
 
 def test_grid_window_limit_counts_every_seed(monkeypatch):
