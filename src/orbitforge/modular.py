@@ -38,19 +38,20 @@ A round costs numpy tens of microseconds whatever its size, more than a
 small graph's whole work, so small graphs are peeled many at a time: their
 tables are laid end to end as the blocks of one graph, each offset by its
 start.  This module owns that block-graph layer, which the oracle's escape
-windows share: peel, the batcher batches (and batch_ranges, the same cuts
-over an array of sizes, for the oracle's grids), and _BATCH_NODES, one
-node budget for both callers.  Each node records its peel round, or the tail
-bound a jump gives it, so a block's longest tail is its highest level; a
-cycle's block is found from one of its nodes.  The oracle's windows keep
-the full peel: their tails into the sink are short, and with the jump
-AC10b's grid took 2.77 s against 2.45 s.  A component of _BATCH_NODES
-nodes or more is walked alone, with one bit per node in the peel and no
-block lookup.  A call for one modulus walks its own components as one
-batch.  max_cycle_scan keeps one component table for the whole call, so
-each component is walked once per scan, and batches the moduli into runs
-whose new components fill one batch; the first modulus of a run walks the
-run's batch.  A run is cut only when its first summary is asked for.
+windows share: peel, the batcher batch_ranges, which cuts a list of sizes
+into index ranges, and _BATCH_NODES, one node budget for both callers.
+Each node records its peel round, or the tail bound a jump gives it, so a
+block's longest tail is its highest level; a cycle's block is found from
+one of its nodes.  The oracle's windows keep the full peel: their tails
+into the sink are short, and with the jump AC10b's grid took 2.77 s
+against 2.45 s.  A component of _BATCH_NODES nodes or more is walked
+alone, with one bit per node in the peel and no block lookup.  A call for
+one modulus walks its own components as one batch.  max_cycle_scan keeps
+one component table for the whole call, so each component is walked once
+per scan, and batches the moduli into runs whose new components fill one
+batch; the first modulus of a run walks the run's batch.  The runs are
+cut, from the components of every modulus, when the scan's first summary
+is asked for.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -65,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -84,10 +85,10 @@ __all__ = [
 
 # above this modulus, residue products no longer fit in int64
 _NUMPY_LIMIT = 1 << 31
-# node budget of one list from batches, for modscan's components and the
-# oracle's windows alike; a component this large is walked alone.  A larger
-# budget spreads numpy's per-round cost over more graphs and holds more
-# memory at once.  At 2**13, modscan-many ran about 15% slower, and
+# node budget of one batch from batch_ranges, for modscan's components and
+# the oracle's windows alike; a component this large is walked alone.  A
+# larger budget spreads numpy's per-round cost over more graphs and holds
+# more memory at once.  At 2**13, modscan-many ran about 15% slower, and
 # oracle-gate read peak_rss_mib 36.71 against 37.11 at 2**14, wall_s alike.
 _BATCH_NODES = 1 << 14
 # a peel with jump is finished by pointer jumping once its frontier is
@@ -194,31 +195,15 @@ def _components(the_map, modulus: int) -> list[int]:
 _Part = tuple[dict[int, int], int]  # a component's cycle-length counts and max tail
 
 
-def batches(items: Iterable, size: Callable[..., int]) -> Iterator[list]:
-    """Cut items, in order, into lists of at most _BATCH_NODES nodes, each
-    item's count from size, called once.  Only its first item takes a list
-    over the budget, and no list but the first starts with a size-0 item."""
-    batch: list = []
-    nodes = 0
-    for item in items:
-        n = size(item)
-        if batch and n and nodes + n > _BATCH_NODES:
-            yield batch
-            batch, nodes = [], 0
-        batch.append(item)
-        nodes += n
-    if batch:
-        yield batch
-
-
-def batch_ranges(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
-    """The lists batches would cut from items of these sizes (an array, all
-    positive), as (start, stop) index ranges, found by searchsorted on the
-    running total rather than item by item."""
+def batch_ranges(sizes) -> Iterator[tuple[int, int]]:
+    """Cut items of these sizes (none negative), in order, into (start,
+    stop) index ranges of at most _BATCH_NODES nodes, by searchsorted on
+    the running total.  Only a range's first item takes it over the
+    budget, and a size-0 item joins the range before it."""
     ends = np.cumsum(sizes)
     start = done = 0
     while start < len(ends):
-        stop = max(int(np.searchsorted(ends, done + _BATCH_NODES, "right")), start + 1)
+        stop = int(np.searchsorted(ends, max(done + _BATCH_NODES, ends[start]), "right"))
         yield start, stop
         start, done = stop, int(ends[stop - 1])
 
@@ -586,16 +571,17 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
 
 def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
     """Cut the ascending moduli into runs, each mapping its moduli to their
-    components, by batches over the components no earlier modulus had."""
+    components, by batch_ranges over the components no earlier modulus
+    had."""
+    components = [_components(the_map, m) for m in moduli]
     seen: set[int] = set()
-
-    def new_nodes(item: tuple[int, list[int]]) -> int:
-        new = [q for q in item[1] if q not in seen]
+    sizes = []
+    for qs in components:
+        new = [q for q in qs if q not in seen]
         seen.update(new)
-        return sum(new)
-
-    for run in batches(((m, _components(the_map, m)) for m in moduli), new_nodes):
-        yield dict(run)
+        sizes.append(sum(new))
+    for lo, hi in batch_ranges(sizes):
+        yield dict(zip(moduli[lo:hi], components[lo:hi]))
 
 
 def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSummary]:

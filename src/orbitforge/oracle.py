@@ -24,11 +24,12 @@ windows of a grid are the blocks of modular's block-graph layer, which
 owns the peel, the batcher and the node budget of a batch; the peel strips
 every seed that is not on a cycle.  The seeds left, the sink aside, are
 exactly the window's cycles.  f is evaluated in int64, one numpy pass per
-degree, only where every intermediate provably stays below 2**62; any
-other map is evaluated with Python ints.  Each cycle is then walked once
-with iterate_with_escape from its least seed, which orders it and
-re-derives it exactly, and the harvest is compared with the classifier's
-answer.  The two computations share no formulas, which is the point.
+degree, only on the array path below, whose tables prove that every
+intermediate stays below 2**62; every map off it is evaluated seed by seed
+with Python ints.  Each cycle is then walked once with iterate_with_escape
+from its least seed, which orders it and re-derives it exactly, and the
+harvest is compared with the classifier's answer.  The two computations
+share no formulas, which is the point.
 
 grid_cycles is the one way into the window graph.  It takes a product
 grid of parameters and builds no map it does not need; oracle_cycles runs
@@ -181,29 +182,12 @@ def iterate_with_escape(
         step += 1
 
 
-def _int64_form(the_map, bound: int) -> tuple[int, int, int, int] | None:
-    """maps.int_coefficients(the_map), (m, a, b, c), when int64 evaluates
-    a*x**m + b*x + c exactly on [-bound, bound]; else None.
-
-    Every intermediate is at most |a|*bound**m + |b|*bound + |c| in
-    absolute value (B**m + |k| for x**m - k): int_power forms no power of
-    x above the m-th, so below 2**62 nothing wraps.
-    """
-    if form := int_coefficients(the_map):
-        m, a, b, c = form
-        # degree 62 and up is left to Python ints: bound**m alone reaches the
-        # fence there unless bound is 1, and then the window has three seeds
-        if m < 62 and abs(a) * bound**m + abs(b) * bound + abs(c) < _INT64_FENCE:
-            return form
-    return None
-
-
 def _window_graph(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The successor array of one batch of windows, with each block's node
     of seed 0 and its last node.
 
     batch is (table, calls).  table holds the int64 columns m, a, b, c and
-    bound, one per map, and calls the maps that int64 cannot evaluate, by
+    bound, one per map, and calls the maps off grid_cycles' array path, by
     block; their m, a, b and c are 0.  Block i holds the window of map i,
     and the last node is the sink.  Seed x goes to the node of f(x) when
     |f(x)| <= bound, else to the sink, which goes to itself.  f is
@@ -272,26 +256,6 @@ def _harvest(table: np.ndarray, calls: dict) -> dict[int, list[int]]:
         for i, seed in zip((block + lo).tolist(), seeds.tolist()):
             found.setdefault(i, []).append(seed)
     return found
-
-
-def _rows(pairs) -> tuple[np.ndarray, dict]:
-    """The table and calls of _window_graph for (map, escape bound)
-    pairs."""
-    rows, calls = [], {}
-    for i, (the_map, eb) in enumerate(pairs):
-        form = _int64_form(the_map, eb.bound)
-        if form is None:
-            calls[i] = the_map
-        rows.append((*(form or (0, 0, 0, 0)), eb.bound))
-    return np.array(rows, dtype=np.int64).reshape(-1, 5).T, calls
-
-
-def _check_window(the_map, eb: EscapeBound) -> None:
-    if 2 * eb.bound + 1 > WINDOW_LIMIT:
-        raise ValueError(
-            f"the escape window of {the_map} holds {2 * eb.bound + 1} seeds, "
-            f"over the oracle's limit of {WINDOW_LIMIT}"
-        )
 
 
 _NO_CYCLES = OrbitClassification((), (), (), None)
@@ -451,11 +415,11 @@ def grid_cycles(cls, axes) -> list[tuple[int, object, OrbitClassification]]:
     map, ascending.  The oracle flags a map whose window holds a cycle,
     and classify.cycle_candidates a map that its witnesses say may have
     one.  A map with no table bound, or whose window may pass the int64
-    fence, takes the per-map path and is flagged too.  Only flagged maps
-    are built.  Every other map has no cycle in its window, and
-    classify_power or classify_quad gives it none, so the two agree; when
-    cross_check's classifiers are not classify's own, every map is
-    flagged.
+    fence, is off the array path: it is evaluated seed by seed with Python
+    ints, and flagged too.  Only flagged maps are built.  Every other map
+    has no cycle in its window, and classify_power or classify_quad gives
+    it none, so the two agree; when cross_check's classifiers are not
+    classify's own, every map is flagged.
 
     A flagged map's escape_bound must equal its table bound.  A window
     over WINDOW_LIMIT refuses the grid with ValueError, naming its first
@@ -478,33 +442,43 @@ def grid_cycles(cls, axes) -> list[tuple[int, object, OrbitClassification]]:
         return cls(*reversed(params))
 
     def build(i: int) -> tuple[object, EscapeBound]:
-        the_map = make(i)
-        eb = escape_bound(the_map)
-        if tabled[i] and eb.bound != table[4, i]:
-            raise RuntimeError(f"escape bound {eb.bound} of {the_map}, table bound {table[4, i]}")
-        built[i] = the_map, eb
+        if i not in built:
+            the_map = make(i)
+            eb = escape_bound(the_map)
+            if tabled[i] and eb.bound != table[4, i]:
+                raise RuntimeError(
+                    f"escape bound {eb.bound} of {the_map}, table bound {table[4, i]}"
+                )
+            built[i] = the_map, eb
         return built[i]
 
+    # capped: a bound such as x**2 - 10**40's does not fit in int64
     for i in np.flatnonzero(~tabled).tolist():
-        build(i)
-    over = np.flatnonzero(tabled & (2 * table[4] + 1 > WINDOW_LIMIT))[:1].tolist()
-    over += [i for i, (_, eb) in built.items() if 2 * eb.bound + 1 > WINDOW_LIMIT][:1]
+        table[4, i] = min(build(i)[1].bound, WINDOW_LIMIT)
+    over = np.flatnonzero(2 * table[4] + 1 > WINDOW_LIMIT)[:1].tolist()
     if over:
-        # a table bound past the limit may be cut short: name the exact one
-        the_map = make(min(over))
-        _check_window(the_map, escape_bound(the_map))
+        if over[0] in built:
+            the_map, eb = built[over[0]]
+        else:
+            # a table bound past the limit may be cut short: name the exact one
+            the_map = make(over[0])
+            eb = escape_bound(the_map)
+        raise ValueError(
+            f"the escape window of {the_map} holds {2 * eb.bound + 1} seeds, "
+            f"over the oracle's limit of {WINDOW_LIMIT}"
+        )
     flagged = np.zeros(len(tabled), dtype=bool)
     flagged[tabled] = cycle_candidates(*table[:4, tabled])
     per_map = np.flatnonzero(~(tabled & inside)).tolist()
-    table[:, per_map], calls = _rows([built[i] if i in built else build(i) for i in per_map])
-    found = _harvest(table, {per_map[j]: the_map for j, the_map in calls.items()})
+    table[:4, per_map] = 0
+    found = _harvest(table, {i: build(i)[0] for i in per_map})
     flagged[per_map] = True
     flagged[list(found)] = True
     if not _own_classifiers():
         flagged[:] = True
     harvests = []
     for i in np.flatnonzero(flagged).tolist():
-        the_map, eb = built[i] if i in built else build(i)
+        the_map, eb = build(i)
         harvests.append((i, the_map, _confirm(the_map, eb, found[i]) if i in found else _NO_CYCLES))
     return harvests
 

@@ -294,37 +294,22 @@ def test_successor_tables_match_python(the_map):
         max_size=40,
     )
 )
-@example(sizes=[modular._BATCH_NODES // 2] * 3)  # two items fill a list exactly
+@example(sizes=[modular._BATCH_NODES // 2] * 3)  # two items fill a range exactly
 @example(sizes=[2**15, 0, 5])
 def test_batches_cut_in_order_within_the_budget(sizes):
-    calls = []
-    lists = list(modular.batches(range(len(sizes)), lambda i: calls.append(i) or sizes[i]))
-    assert calls == list(range(len(sizes)))
-    assert [i for batch in lists for i in batch] == calls
+    ranges = list(modular.batch_ranges(np.array(sizes, dtype=np.int64)))
+    lists = [list(range(lo, hi)) for lo, hi in ranges]
+    assert [i for batch in lists for i in batch] == list(range(len(sizes)))
     assert all(lists)
     budget = modular._BATCH_NODES
     for n, batch in enumerate(lists):
         total = sum(sizes[i] for i in batch)
-        assert total <= budget or sizes[batch[0]] > budget
+        # only a range's first item takes it over the budget
+        assert total <= budget or total == sizes[batch[0]] > budget
         if n:
             assert sizes[batch[0]] > 0
-            # no cut comes early: the list before could not take this item
+            # no cut comes early: the range before could not take this item
             assert sum(sizes[i] for i in lists[n - 1]) + sizes[batch[0]] > budget
-
-
-@settings(max_examples=200)
-@given(
-    sizes=st.lists(
-        st.one_of(st.integers(1, modular._BATCH_NODES // 3), st.integers(1, 2**15)),
-        max_size=40,
-    )
-)
-@example(sizes=[modular._BATCH_NODES // 2] * 3)
-@example(sizes=[2**15, 1, 5])
-def test_batch_ranges_cut_as_batches_does(sizes):
-    lists = list(modular.batches(range(len(sizes)), sizes.__getitem__))
-    ranges = list(modular.batch_ranges(np.array(sizes, dtype=np.int64)))
-    assert [list(range(lo, hi)) for lo, hi in ranges] == lists
 
 
 integer_maps = st.one_of(
@@ -554,6 +539,22 @@ def test_scan_walks_each_prime_power_once_per_call(monkeypatch):
         summaries = list(max_cycle_scan(PowerMap(2, 1), range(2, 1201)))
         assert len(summaries) == 1199
         assert sorted(walked) == _prime_powers_upto(1200)
+
+
+@pytest.mark.parametrize(
+    "the_map, top, walks",
+    [(PowerMap(2, 1), 1200, 8), (PowerMap(2, 1), 20000, 1534), (QuadMap(2, 1, 0), 5000, 110)],
+)
+def test_scan_cuts_the_same_runs(monkeypatch, the_map, top, walks):
+    # a run walks its new components in one call: the count of calls pins
+    # where batch_ranges cuts the moduli 2..top into runs
+    calls = []
+    real = modular._walk_components
+    monkeypatch.setattr(
+        modular, "_walk_components", lambda f, qs: calls.append(qs) or real(f, qs)
+    )
+    assert len(list(max_cycle_scan(the_map, range(2, top + 1)))) == top - 1
+    assert len(calls) == walks
 
 
 def test_scan_deduplicates_and_sorts_moduli():

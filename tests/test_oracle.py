@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import orbitforge.cli as cli_module
 from orbitforge.classify import Cycle, OrbitClassification, classify_power, classify_quad
-from orbitforge.maps import PowerMap, QuadMap, RationalPoly
+from orbitforge.maps import PowerMap, QuadMap, RationalPoly, int_coefficients
 from orbitforge import modular as modular_module
 from orbitforge import oracle as oracle_module
 from orbitforge.oracle import (
@@ -375,40 +375,55 @@ def test_grid_cycles_span_batches():
     assert _grid_harvests(PowerMap, axes) == expected
 
 
+def _below_the_fence(the_map, bound: int) -> bool:
+    """Whether int64 evaluates the_map exactly on [-bound, bound]: every
+    intermediate is at most |a|*bound**m + |b|*bound + |c| for
+    a*x**m + b*x + c, when no power of x above the m-th is formed."""
+    m, a, b, c = int_coefficients(the_map)
+    return abs(a) * bound**m + abs(b) * bound + abs(c) < 2**62
+
+
 def test_grid_cycles_across_the_int64_fence(monkeypatch):
-    # a parameter past _ARRAY_LIMITS sends its map down the per-map path,
-    # where a window whose values stay below 2**62 is still evaluated in
-    # int64 and any other with Python ints.  Each grid puts both kinds
-    # between array-path windows in one batch, and then goes through the
-    # default batching.
+    # a parameter past _ARRAY_LIMITS, or a window that may pass the int64
+    # fence, sends its map off the array path, to be evaluated with Python
+    # ints, whether or not its values stay below 2**62: x**7 - k with
+    # 2**60 <= |k| < 2**62 and a quadratic with a = 2**29 do.  Each grid
+    # puts such windows next to array-path windows in one batch, and then
+    # goes through the default batching.
     grids = [
         (PowerMap, [[2, 7, 9, 64], [-(2**62), -(2**60), 0, 6, 7, 20]]),
+        (PowerMap, [[7], [20, 2**60, 2**61, 2**62 - 1]]),
         (QuadMap, [[1, 2**59, -(2**62), 2**62], [0, 1, 2], [-7, -6, -2, 0]]),
+        (QuadMap, [[2**29 - 1, 2**29], [0], [-(2**29) * 10**6, -7, 0]]),
     ]
-    expected = {}
+    expected = []
+    every_kind = set()
     for cls, axes in grids:
         maps = _product_maps(cls, axes)
         _, tabled, inside = oracle_module._grid_table(cls, axes)
-        kinds = set()
-        for the_map, on_table in zip(maps, (tabled & inside).tolist()):
-            form = oracle_module._int64_form(the_map, escape_bound(the_map).bound)
-            kinds.add("array" if on_table else "int64" if form else "python")
-            assert form or not on_table, the_map
-        assert kinds == {"array", "int64", "python"}
-        expected[cls] = [_harvest_by_trace(m) for m in maps]
-        assert _grid_harvests(cls, axes) == expected[cls]
-    # Python-int windows with fixed points, between int64 blocks
-    assert expected[PowerMap][3 * 6 + 2].fixed_points == (0, 1)  # x**64
-    assert expected[QuadMap][2 * 12 + 1 * 4 + 3].fixed_points == (0,)
+        kinds = {
+            "array"
+            if on_path
+            else "below" if _below_the_fence(the_map, escape_bound(the_map).bound) else "past"
+            for the_map, on_path in zip(maps, (tabled & inside).tolist())
+        }
+        assert "array" in kinds and len(kinds) > 1, axes
+        every_kind |= kinds
+        expected.append([_harvest_by_trace(m) for m in maps])
+        assert _grid_harvests(cls, axes) == expected[-1]
+    assert every_kind == {"array", "below", "past"}
+    # Python-int windows with fixed points, between array-path blocks
+    assert expected[0][3 * 6 + 2].fixed_points == (0, 1)  # x**64
+    assert expected[2][2 * 12 + 1 * 4 + 3].fixed_points == (0,)
     batches = []
     real = oracle_module._batch_cycles
     monkeypatch.setattr(oracle_module, "_batch_cycles", lambda b: batches.append(b) or real(b))
-    for cls, axes in grids:
+    for (cls, axes), harvests in zip(grids, expected):
         maps = _product_maps(cls, axes)
         budget = sum(2 * escape_bound(m).bound + 1 for m in maps)
         monkeypatch.setattr(modular_module, "_BATCH_NODES", budget)
         batches.clear()
-        assert _grid_harvests(cls, axes) == expected[cls]
+        assert _grid_harvests(cls, axes) == harvests
         assert len(batches) == 1
 
 
@@ -464,6 +479,35 @@ def test_oversized_window_is_refused_before_any_graph(monkeypatch):
         grid_cycles(PowerMap, [[2], [5, 10**40]])
 
 
+def test_a_refused_grid_bounds_each_map_at_most_once(monkeypatch):
+    calls = []
+    real = oracle_module.escape_bound
+    monkeypatch.setattr(oracle_module, "escape_bound", lambda m: calls.append(m) or real(m))
+    with pytest.raises(ValueError) as refused:
+        oracle_cycles(PowerMap(2, 10**40))
+    assert calls == [PowerMap(2, 10**40)]
+    assert str(refused.value) == (
+        "the escape window of PowerMap(degree=2, shift=1" + "0" * 40 + ") holds "
+        "200000000000000000001 seeds, over the oracle's limit of 2097152"
+    )
+    # the maps off the table are bounded first (grid order is degree
+    # first); the grid names its first map over the limit, off the table
+    # or on it, where a table bound is cut short and is computed again
+    for axes, first, seeds in (
+        ([[2, 64], [5, 10**40, 2**61]], PowerMap(2, 10**40), "200000000000000000001"),
+        ([[2, 64], [5, 10**13, 10**40]], PowerMap(2, 10**13), "6324557"),
+        ([[1, 2], [5, 1048580, 10**40]], PowerMap(1, 1048580), "2097165"),
+    ):
+        calls.clear()
+        with pytest.raises(ValueError) as refused:
+            grid_cycles(PowerMap, axes)
+        assert len(calls) == len(set(calls)) and first in calls
+        assert str(refused.value) == (
+            f"the escape window of {first} holds {seeds} seeds, "
+            "over the oracle's limit of 2097152"
+        )
+
+
 def test_window_limit_admits_a_window_of_its_size(monkeypatch):
     monkeypatch.setattr(oracle_module, "WINDOW_LIMIT", 5)
     assert oracle_cycles(PowerMap(1, 0)).fixed_points == (-2, -1, 0, 1, 2)
@@ -487,7 +531,7 @@ def _check_table_bounds(cls, axes):
         if 2 * eb + 1 <= WINDOW_LIMIT:
             assert table[4, i] == eb, the_map
             if inside[i]:
-                assert oracle_module._int64_form(the_map, eb) is not None, the_map
+                assert _below_the_fence(the_map, eb), the_map
         else:
             assert 2 * table[4, i] + 1 > WINDOW_LIMIT, the_map
 
