@@ -26,13 +26,13 @@ once 2**s reaches their number, and Wyllie's list ranking gives each
 node its distance to them.  After t rounds every unpeeled node has
 h >= t, so a longest tail is t plus the greatest distance found.
 
-The survivors are the cycle nodes, and contraction measures their cycles.
-Each round keeps the nodes whose successor is a strict local minimum of a
-fixed injective hash along their cycle: every cycle of two nodes or more
-has one, and no two kept nodes are adjacent.  Each kept node walks on to
-the next kept one, adding up the nodes it passes, and stands for them in
-the next round, so each round at least halves the nodes; a node that
-loops onto itself is a whole cycle, as long as its weight.
+The survivors are the cycle nodes, and contraction measures their cycles (a
+permutation goes as is).  Each round keeps the nodes whose successor is a
+strict local minimum of a fixed injective hash along their cycle: every cycle
+of two nodes or more has one, and no two kept nodes are adjacent.  Each kept
+node walks on to the next kept one, adding up the nodes it passes, and stands
+for them in the next round, so each round at least halves the nodes; a node
+that loops onto itself is a whole cycle, as long as its weight.
 
 A round costs numpy tens of microseconds whatever its size, more than a
 small graph's whole work, so small graphs are peeled many at a time: their
@@ -50,8 +50,8 @@ one modulus walks its own components as one batch.  max_cycle_scan keeps
 one component table for the whole call, so each component is walked once
 per scan, and batches the moduli into runs whose new components fill one
 batch; the first modulus of a run walks the run's batch.  The runs are
-cut, from the components of every modulus, when the scan's first summary
-is asked for.
+cut as the scan goes, each once no later modulus can join it, so the first
+summary needs the components of the first run only.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -119,20 +119,30 @@ def int_power(x: np.ndarray, e: int, modulus: int | None = None) -> np.ndarray:
     when a modulus is given, like pow(x, e, modulus); e = 1 returns x.
 
     Square-and-multiply from the lowest set bit of e: no squaring follows
-    the highest bit, so no power above the e-th is formed.  Nothing wraps
-    while |x|**e fits in int64, or while 0 <= x < modulus < 2**31.
+    the highest bit, so no power above the e-th is formed.  Products are
+    reduced by floor division (_reduce); nothing wraps while |x|**e fits
+    in int64, or while 0 <= x < modulus < 2**31.
     """
     while not e & 1:
-        x = x * x if modulus is None else x * x % modulus
+        x = x * x if modulus is None else _reduce(x * x, modulus)
         e >>= 1
     result = x
     e >>= 1
     while e:
-        x = x * x if modulus is None else x * x % modulus
+        x = x * x if modulus is None else _reduce(x * x, modulus)
         if e & 1:
-            result = result * x if modulus is None else result * x % modulus
+            result = result * x if modulus is None else _reduce(result * x, modulus)
         e >>= 1
     return result
+
+
+def _reduce(v: np.ndarray, modulus: int, spare: np.ndarray | None = None) -> np.ndarray:
+    """v %= modulus as v -= (v // modulus)*modulus, the quotient in spare:
+    numpy's // by a scalar needs no divide instruction, and its % does."""
+    q = np.floor_divide(v, modulus, spare)
+    q *= modulus
+    v -= q
+    return v
 
 
 def _successors(the_map, modulus: int) -> np.ndarray:
@@ -142,9 +152,9 @@ def _successors(the_map, modulus: int) -> np.ndarray:
         m, a, b, c = form
         a, b, c = a % modulus, b % modulus, c % modulus
         x = np.arange(modulus, dtype=np.int64)
-        # ((a*x**(m-1) + b)*x + c) % modulus by Horner, in place: every
-        # factor is below modulus < 2**31, so every intermediate is at most
-        # (modulus - 1)*modulus < 2**62.  Degree 1 is (a + b)*x + c.
+        # ((a*x**(m-1) + b)*x + c) % modulus by Horner, in place, factors
+        # below modulus < 2**31: the sum, below modulus**2, is reduced before
+        # its product with x if modulus**3 > 2**63.  Degree 1 is (a + b)*x + c.
         if m == 1:
             acc = x  # x is not needed again
             acc *= (a + b) % modulus
@@ -157,13 +167,12 @@ def _successors(the_map, modulus: int) -> np.ndarray:
                 acc *= a
             if b:
                 acc += b
-            if a != 1 or b:
-                acc %= modulus
+            if (a != 1 or b) and modulus**3 > 2**63:
+                _reduce(acc, modulus)
             acc *= x
         if c:
             acc += c
-        acc %= modulus
-        return acc
+        return _reduce(acc, modulus, None if acc is x else x)  # x is done
     return np.fromiter(
         (the_map(x) % modulus for x in range(modulus)), dtype=np.int64, count=modulus
     )
@@ -241,7 +250,7 @@ def peel(succ: np.ndarray, dtype, *, jump: bool) -> tuple[np.ndarray, int]:
         # freed repeats a node once per edge into it; tag each entry with a
         # distinct negative indeg (a peeled node is never hit again) and
         # keep the one entry per node whose tag stuck
-        tags = -1 - np.arange(len(freed))
+        tags = np.arange(-1, -1 - len(freed), -1)
         indeg[freed] = tags
         frontier = freed[indeg[freed] == tags]
     return level, rounds
@@ -367,19 +376,20 @@ def _array_walk(succ: np.ndarray, starts: np.ndarray | None = None) -> list[_Par
     keeps one bit per node in the peel and looks no block up: walked as a
     batch of one block instead, modscan-large read wall_s 0.1615 against
     0.158 s, slower in 5 of 5 pairs, and peak_rss_mib 47.5 against 47.0.
+    With no tail, succ is a permutation and goes to contraction as is.
     """
     level, tail = peel(succ, bool if starts is None else np.int32, jump=True)
     if starts is None:
         # no name holds the cycle nodes or their graph, so each is freed
         # as soon as it is used: _restrict frees the nodes, _cycles the
         # graph after its first round
-        lengths, _ = _cycles(_restrict(succ, np.flatnonzero(level == 0)), None)
+        lengths, _ = _cycles(_restrict(succ, np.flatnonzero(level == 0)) if tail else succ, None)
         values, counts = np.unique(lengths, return_counts=True)
         return [(dict(zip(values.tolist(), counts.tolist())), tail)]
     tails = np.maximum.reduceat(level, starts).tolist()
     on_cycle = np.flatnonzero(level == 0)
     del level
-    lengths, reps = _cycles(_restrict(succ, on_cycle), on_cycle)
+    lengths, reps = _cycles(_restrict(succ, on_cycle) if any(tails) else succ, on_cycle)
     block = np.searchsorted(starts, reps, side="right") - 1
     # a cycle of length l in block b counts at node starts[b] + l - 1,
     # which lies in block b, as l is at most the block's size
@@ -572,16 +582,26 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
 def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
     """Cut the ascending moduli into runs, each mapping its moduli to their
     components, by batch_ranges over the components no earlier modulus
-    had."""
-    components = [_components(the_map, m) for m in moduli]
+    had, as they come: past _BATCH_NODES new nodes pending, each range is
+    yielded but the last, which a later modulus may still join."""
     seen: set[int] = set()
-    sizes = []
-    for qs in components:
-        new = [q for q in qs if q not in seen]
-        seen.update(new)
-        sizes.append(sum(new))
+    pending: list[tuple[int, list[int]]] = []
+    sizes: list[int] = []
+    total = 0
+    for m in moduli:
+        qs = _components(the_map, m)
+        pending.append((m, qs))
+        sizes.append(sum(q for q in qs if q not in seen))
+        seen.update(qs)
+        total += sizes[-1]
+        if total > _BATCH_NODES:
+            *ranges, (start, _) = batch_ranges(sizes)
+            for lo, hi in ranges:
+                yield dict(pending[lo:hi])
+            del pending[:start], sizes[:start]
+            total = sum(sizes)
     for lo, hi in batch_ranges(sizes):
-        yield dict(zip(moduli[lo:hi], components[lo:hi]))
+        yield dict(pending[lo:hi])
 
 
 def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSummary]:

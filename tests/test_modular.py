@@ -225,6 +225,31 @@ def test_contraction_matches_naive_oracle_on_permutations(tables):
     assert _walk_both_ways(tables) == (expected, expected)
 
 
+def test_walk_writes_into_no_table_it_is_given(monkeypatch):
+    # a permutation goes to contraction as is, and a peel that jumps in
+    # round 0 (fewer than _JUMP_FRONTIER leaves, at most _JUMP_NODES
+    # nodes) restricts a copy: neither may write into succ
+    jumps = []
+    real = modular._jump
+    monkeypatch.setattr(
+        modular, "_jump", lambda s, level, rounds: jumps.append(rounds) or real(s, level, rounds)
+    )
+    rng = np.random.default_rng(24)
+    permutation = rng.permutation(3000).tolist()
+    # x -> x - 1 on 1..999 into the 2-cycle 0 <-> 1, plus three leaves into 500
+    tails = [1, 0, *range(1, 999), 500, 500, 500]
+    for tables, jumped in (([permutation], []), ([permutation, [1, 0]], []), ([tails], [0])):
+        starts = np.cumsum([0] + [len(t) for t in tables[:-1]])
+        succ = np.concatenate([np.array(t, dtype=np.int64) + s for t, s in zip(tables, starts)])
+        given = succ.copy()
+        jumps.clear()
+        walk = modular._array_walk
+        walked = walk(succ) if len(tables) == 1 else walk(succ, starts)
+        assert walked == [_oracle_part(t) for t in tables]
+        assert jumps == jumped
+        assert np.array_equal(succ, given)
+
+
 def test_contraction_fixed_cases():
     n = 3001
     rnd = random.Random(19)
@@ -282,9 +307,22 @@ def test_permutation_summaries_pinned():
     ],
 )
 def test_successor_tables_match_python(the_map):
-    for modulus in (2, 3, 97, 1000, 2**16 + 1):
+    # 16411 is a prime component walked alone
+    for modulus in (2, 3, 97, 1000, 2**12, 16411, 2**16 + 1):
         want = [the_map(x) % modulus for x in range(modulus)]
         assert modular._successors(the_map, modulus).tolist() == want, modulus
+
+
+@pytest.mark.parametrize("the_map", [QuadMap(-1, -1, -1), QuadMap(-3, 5, 7), PowerMap(5, -7)])
+def test_successor_tables_at_the_unreduced_bound(the_map):
+    # a*x**(m-1) + b times x is left unreduced while modulus**3 <= 2**63;
+    # at 2**21 + 1, -x^2 - x - 1 would reach (M - 1)*M*(M - 1) > 2**63 at
+    # x = M - 1.  The residues at both ends and a sample of the rest.
+    for modulus in (2**21, 2**21 + 1):
+        xs = [*range(2**10), *random.Random(5).sample(range(modulus), 2**10)]
+        xs += range(modulus - 2**10, modulus)
+        got = modular._successors(the_map, modulus)[xs].tolist()
+        assert got == [the_map(x) % modulus for x in xs], modulus
 
 
 @settings(max_examples=200)
@@ -555,6 +593,17 @@ def test_scan_cuts_the_same_runs(monkeypatch, the_map, top, walks):
     )
     assert len(list(max_cycle_scan(the_map, range(2, top + 1)))) == top - 1
     assert len(calls) == walks
+
+
+def test_scan_cuts_runs_as_it_goes(monkeypatch):
+    # the first summary of a long scan needs the components of its first
+    # run, not of every modulus
+    seen = []
+    real = modular._components
+    monkeypatch.setattr(modular, "_components", lambda f, m: seen.append(m) or real(f, m))
+    scan = max_cycle_scan(PowerMap(2, 1), range(2, 10**5 + 2))
+    assert next(scan) == naive_graph_oracle(PowerMap(2, 1), 2)
+    assert 0 < len(seen) < 10**4
 
 
 def test_scan_deduplicates_and_sorts_moduli():
