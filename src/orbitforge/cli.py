@@ -11,10 +11,10 @@ latticecheck  does a rational polynomial map step*Z into itself?
 conjugate     normal-form reduction of an integer quadratic
 
 Exit codes: 0 success (and agreement), 1 verified disagreement (anomaly),
-2 usage error, 3 I/O or checkpoint failure.  Every oracle disagreement names
-the one-map oracle command that reproduces it.  oracle refuses a grid with
-any map whose escape window holds more than oracle.WINDOW_LIMIT seeds
-(exit 2) before it builds anything.
+2 usage error, 3 I/O, checkpoint or memory failure.  Every oracle
+disagreement names the one-map oracle command that reproduces it.  oracle
+refuses a grid with any map whose escape window holds more than
+oracle.WINDOW_LIMIT seeds (exit 2) before it builds anything.
 
 Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2, and oracle refuses the other family's grids.  --format lists
@@ -681,6 +681,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,12 +46,12 @@ one of its nodes.  The oracle's windows keep the full peel: their tails
 into the sink are short, and with the jump AC10b's grid took 2.77 s
 against 2.45 s.  A component of _BATCH_NODES nodes or more is walked
 alone, with one bit per node in the peel and no block lookup.  A call for
-one modulus walks its own components as one batch.  max_cycle_scan keeps
-one component table for the whole call, so each component is walked once
-per scan, and batches the moduli into runs whose new components fill one
-batch; the first modulus of a run walks the run's batch.  The runs are
-cut as the scan goes, each once no later modulus can join it, so the first
-summary needs the components of the first run only.
+one modulus walks its own components as one batch.  max_cycle_scan walks
+each component once per scan: it cuts the moduli into runs whose new
+components fill one batch, walks a run's batch before the run's first
+summary, and hands each modulus the walked parts it combines.  The runs
+are cut as the scan goes, each once no later modulus can join it, so the
+first summary needs the components of the first run only.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -421,47 +421,23 @@ def _walk_components(the_map, qs: list[int]) -> dict[int, _Part]:
     return walked
 
 
-class _ComponentTable:
-    """The components of one map walked so far: q -> (cycle-length counts,
-    max tail).
-
-    A scan's table serves one run of moduli at a time; run maps each
-    modulus to its components.  The first modulus with a component missing
-    from the table walks every missing component of the run as one batch.
-    """
-
-    def __init__(self) -> None:
-        self.parts: dict[int, _Part] = {}
-        self.run: dict[int, list[int]] = {}
-
-    def parts_of(self, the_map, modulus: int) -> list[_Part]:
-        components = self.run.get(modulus) or _components(the_map, modulus)
-        parts = self.parts
-        if any(q not in parts for q in components):
-            missing = dict.fromkeys(
-                q for qs in (components, *self.run.values()) for q in qs if q not in parts
-            )
-            parts.update(_walk_components(the_map, list(missing)))
-        return [parts[q] for q in components]
-
-
 def functional_graph(
-    the_map, modulus: int, *, table: _ComponentTable | None = None
+    the_map, modulus: int, *, parts: list[_Part] | None = None
 ) -> FunctionalGraphSummary:
     """Measure the functional graph of the_map on Z_modulus.
 
     An exact PowerMap or QuadMap is measured on each prime-power factor of
     the modulus and the components are combined (see the module docstring),
     so the cost follows the largest prime-power factor.  Any other callable,
-    subclasses included, is walked over the whole ring.  A scan passes its
-    component table, so that each component is walked once for the whole
-    scan; without one, the call walks its own components as one batch.
+    subclasses included, is walked over the whole ring.  A scan passes
+    parts, the walked parts of the modulus's components, and the call only
+    combines them; without parts, the call walks its own components as one
+    batch.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    if table is None:
-        table = _ComponentTable()
-    parts = table.parts_of(the_map, modulus)
+    if parts is None:
+        parts = list(_walk_components(the_map, _components(the_map, modulus)).values())
     counts = {1: 1}
     max_tail = 0
     for part, tail in parts:
@@ -579,31 +555,6 @@ def checkpoint_line(params: tuple[int, ...], summary: FunctionalGraphSummary) ->
     return " ".join(str(f) for f in fields) + "\n"
 
 
-def _runs(the_map, moduli: list[int]) -> Iterator[dict[int, list[int]]]:
-    """Cut the ascending moduli into runs, each mapping its moduli to their
-    components, by batch_ranges over the components no earlier modulus
-    had, as they come: past _BATCH_NODES new nodes pending, each range is
-    yielded but the last, which a later modulus may still join."""
-    seen: set[int] = set()
-    pending: list[tuple[int, list[int]]] = []
-    sizes: list[int] = []
-    total = 0
-    for m in moduli:
-        qs = _components(the_map, m)
-        pending.append((m, qs))
-        sizes.append(sum(q for q in qs if q not in seen))
-        seen.update(qs)
-        total += sizes[-1]
-        if total > _BATCH_NODES:
-            *ranges, (start, _) = batch_ranges(sizes)
-            for lo, hi in ranges:
-                yield dict(pending[lo:hi])
-            del pending[:start], sizes[:start]
-            total = sum(sizes)
-    for lo, hi in batch_ranges(sizes):
-        yield dict(pending[lo:hi])
-
-
 def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSummary]:
     """Iterate functional_graph(the_map, M) for each modulus M, ascending.
 
@@ -618,9 +569,34 @@ def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSu
 
 
 def _scan(the_map, moduli: list[int]) -> Iterator[FunctionalGraphSummary]:
-    # built at the first summary asked for, and dropped with the iterator
-    table = _ComponentTable()
-    for run in _runs(the_map, moduli):
-        table.run = run
-        for m in run:
-            yield functional_graph(the_map, m, table=table)
+    """The summaries of the ascending moduli, run by run.  The runs are cut
+    by batch_ranges over the components no earlier modulus had, as the
+    moduli come: past _BATCH_NODES new nodes pending, each range is
+    summarised but the last, which a later modulus may still join.  Before
+    a run's first summary, its components not yet walked are walked in one
+    batch, and parts keeps them for the rest of the scan."""
+    parts: dict[int, _Part] = {}
+    seen: set[int] = set()
+    pending: list[tuple[int, list[int]]] = []
+    sizes: list[int] = []
+    total = 0
+    for i, m in enumerate(moduli, 1):
+        qs = _components(the_map, m)
+        pending.append((m, qs))
+        sizes.append(sum(q for q in qs if q not in seen))
+        seen.update(qs)
+        total += sizes[-1]
+        last = i == len(moduli)
+        if total <= _BATCH_NODES and not last:
+            continue
+        ranges = list(batch_ranges(sizes))
+        # the last range stays pending until no later modulus can join it
+        keep = len(sizes) if last else ranges.pop()[0]
+        for lo, hi in ranges:
+            run = pending[lo:hi]
+            new = dict.fromkeys(q for _, qs in run for q in qs if q not in parts)
+            parts.update(_walk_components(the_map, list(new)))
+            for m, qs in run:
+                yield functional_graph(the_map, m, parts=[parts[q] for q in qs])
+        del pending[:keep], sizes[:keep]
+        total = sum(sizes)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitforge.cli as cli_module
@@ -668,6 +669,29 @@ def test_modscan_checkpoint_failures(tmp_path, capsys):
         assert (out.read_bytes(), ck.read_bytes()) == before
 
 
+
+def _array_memory_error():
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1.x
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((1 << 40,), np.dtype(np.int64))
+
+
+@pytest.mark.parametrize("error", [MemoryError, _array_memory_error])
+def test_out_of_memory_exits_three(monkeypatch, capsys, error):
+    # exit 1 would claim a verified disagreement; the error is raised, not
+    # provoked, so nothing large is allocated
+    def exhausted(*args):
+        raise error()
+
+    monkeypatch.setattr(cli_module, "classify_power", exhausted)
+    assert main(["classify", "power", "2", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 def test_modscan_usage_errors(tmp_path, capsys):
     assert main(["modscan", "power", "2", "1", "--M", "2..5", "--stride", "0"]) == 2
     assert main(["modscan", "power", "2", "1", "--M", "2..5", "--format", "json"]) == 2
@@ -808,10 +832,16 @@ def test_entrypoint_raises_system_exit(monkeypatch, capsys):
     assert "fixed points: -2, 3" in capsys.readouterr().out
 
 
-def test_workers_flag_starts_no_process(tmp_path):
+def test_workers_flag_starts_no_process(monkeypatch, tmp_path):
     # --workers is checked and then ignored: a fresh interpreter running an
     # oracle grid and a scan of several runs never imports multiprocessing
-    assert len(list(modular_module._runs(PowerMap(2, 1), range(2, 701)))) > 1
+    walks = []
+    real = modular_module._walk_components
+    monkeypatch.setattr(
+        modular_module, "_walk_components", lambda f, qs: walks.append(qs) or real(f, qs)
+    )
+    assert len(list(modular_module.max_cycle_scan(PowerMap(2, 1), range(2, 701)))) == 699
+    assert len(walks) > 1
     src = str(Path(cli_module.__file__).resolve().parents[1])
     script = f"""
 import sys

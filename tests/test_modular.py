@@ -416,7 +416,7 @@ GOLDEN_GRAPH_DIGEST = "6b97a5264d28f14434ec670fe0682d10d51d40d2e4e512f24c92acb74
 
 
 def test_functional_graph_golden_digest():
-    # one call per modulus, then one scan per map through its component table
+    # one call per modulus, then one scan per map that walks each component once
     for scan in (
         lambda the_map: (functional_graph(the_map, m) for m in GOLDEN_GRAPH_MODULI),
         lambda the_map: max_cycle_scan(the_map, GOLDEN_GRAPH_MODULI),
@@ -572,7 +572,7 @@ def test_scan_walks_each_prime_power_once_per_call(monkeypatch):
     walked = []
     real = modular._successors
     monkeypatch.setattr(modular, "_successors", lambda f, q: walked.append(q) or real(f, q))
-    for _ in range(2):  # no table outlives its scan
+    for _ in range(2):  # no walked part outlives its scan
         walked.clear()
         summaries = list(max_cycle_scan(PowerMap(2, 1), range(2, 1201)))
         assert len(summaries) == 1199
@@ -594,6 +594,19 @@ def test_scan_cuts_the_same_runs(monkeypatch, the_map, top, walks):
     assert len(list(max_cycle_scan(the_map, range(2, top + 1)))) == top - 1
     assert len(calls) == walks
 
+
+
+@pytest.mark.parametrize("the_map", [PowerMap(3, 2), QuadMap(2, 1, 0)])
+def test_scan_reuses_a_big_component_across_runs(monkeypatch, the_map):
+    # 16411 is a prime above 2**14: the first run walks it alone, and the
+    # multiples of it in the next run take its part from the scan
+    moduli = [16411, 16412, 32822, 49233, 65644]
+    expected = [functional_graph(the_map, m) for m in moduli]
+    walked = []
+    real = modular._successors
+    monkeypatch.setattr(modular, "_successors", lambda f, q: walked.append(q) or real(f, q))
+    assert list(max_cycle_scan(the_map, moduli)) == expected
+    assert walked.count(16411) == 1
 
 def test_scan_cuts_runs_as_it_goes(monkeypatch):
     # the first summary of a long scan needs the components of its first
