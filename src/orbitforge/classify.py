@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .kernel import (
     Side,
     approx_band_floor,
@@ -53,7 +51,7 @@ from .kernel import (
     max_fixed_point_floor,
 )
 from .maps import PowerMap, QuadMap
-from .modular import int_power
+from .modular import int_power, np
 
 __all__ = [
     "Cycle",
@@ -174,8 +172,10 @@ def power_fixed_points(power: PowerMap) -> list[int]:
     """All integers j with j**m - j == shift, verified by substitution.
 
     On {-1, 0, 1}, j**m - j is 0, except 2 at j = -1 for even m, so those
-    points are tested only when k is 0 or 2.  Beyond them one candidate per
-    sign is exact, with r = iroot(|k|, m):
+    points are tested only when k is 0: at k = 2 and even m, r = iroot(2, m)
+    = 1 makes the root -1 the candidate -r below, and for odd m no point of
+    {-1, 0, 1} is a root at k = 2.  Beyond them one candidate per sign is
+    exact, with r = iroot(|k|, m):
     a root j >= 2 has (j-1)**m < k < j**m, so j = r + 1; a root -t with
     t >= 2 has t**m < k < (t+1)**m for even m, so t = r, and
     (t-1)**m < -k < t**m for odd m, so t = r + 1.
@@ -189,7 +189,7 @@ def power_fixed_points(power: PowerMap) -> list[int]:
         return []
     r = iroot(abs(k), m)
     candidates = (-r if m % 2 == 0 else -r - 1, r + 1)
-    if k == 0 or k == 2:
+    if k == 0:
         candidates = {-1, 0, 1, *candidates}
     return sorted(j for j in candidates if j**m - j == k)
 

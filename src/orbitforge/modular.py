@@ -56,21 +56,40 @@ first summary needs the components of the first run only.
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
 
-This module owns the checkpoint format (map_params, checkpoint_line,
-read_checkpoint); the modscan command in the CLI owns the resume protocol
-that writes and reads it.
+This module is the one owner of numpy (classify and oracle take np from
+it), loaded on the first array operation.  It owns the checkpoint format
+(map_params, checkpoint_line, read_checkpoint); the modscan command in the
+CLI owns the resume protocol that writes and reads it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass, fields
 from math import gcd
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .maps import PowerMap, QuadMap, int_coefficients
+
+
+def _numpy():
+    """numpy as imported, or a stdlib LazyLoader module in its place that
+    imports it on the first attribute access, which is not thread-safe on
+    Python 3.10 and 3.11; orbitforge starts no threads."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _numpy()
 
 __all__ = [
     "FunctionalGraphSummary",
@@ -99,8 +118,9 @@ _JUMP_FRONTIER = 512
 _JUMP_NODES = 1 << 15
 # Knuth's multiplicative hash, a prime near 2**32 over the golden ratio:
 # node number times it, mod 2**32, is injective below 2**32, as the
-# multiplier is odd, and scatters runs of consecutive numbers
-_HASH = np.uint32(0x9E3779B1)
+# multiplier is odd, and scatters runs of consecutive numbers; a Python int
+# (uint32 *= int stays uint32), so that importing this module loads no numpy
+_HASH = 0x9E3779B1
 
 
 @dataclass(frozen=True)

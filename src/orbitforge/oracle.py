@@ -57,8 +57,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-import numpy as np
-
 from . import classify as classify_module
 from .kernel import iroot, max_fixed_point_floor
 from .classify import (
@@ -70,7 +68,7 @@ from .classify import (
     cycle_candidates,
 )
 from .maps import PowerMap, QuadMap, int_coefficients
-from .modular import batch_ranges, int_power, peel
+from .modular import batch_ranges, int_power, np, peel
 
 __all__ = [
     "EscapeBound",

@@ -860,3 +860,69 @@ print(codes, "multiprocessing" in sys.modules)
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0] False\n"
+
+
+# ====================================================================
+# start-up: the deciding commands never load numpy
+# ====================================================================
+
+# Only array code needs numpy, and modular loads it on the first array
+# operation, so a process that runs one deciding command never imports it.
+# modular stands a lazy module in for numpy, so that the name "numpy" is in
+# sys.modules either way: a loaded numpy shows by its submodules.
+NUMPY_FREE = [
+    "classify power 3 2",
+    "classify power 3 2 --format json",
+    "classify quad 1 1 -2",
+    "classify quad 1 1 -2 --format json",
+    "orbit power 2 2 --seed 0",
+    "bounds --k 0..30 --format csv",
+    "bounds --k 0..30 --format svg",
+    "bounds --k 0..30 --format csv --odd-linear",
+    "conjugate 1 1 -2",
+    "latticecheck 2 1 1/2",
+]
+ARRAY_COMMANDS = ["oracle power --m 2,3 --k=-5..20", "modscan power 2 1 --M 2..60"]
+
+
+def _in_child(lines: str) -> str:
+    """stdout of a fresh interpreter that imports orbitforge from this tree."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    script = f"import contextlib, io, sys\nsys.path.insert(0, {src!r})\n{lines}"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    "command,loads", [(c, False) for c in NUMPY_FREE] + [(c, True) for c in ARRAY_COMMANDS]
+)
+def test_only_array_commands_load_numpy(command, loads):
+    out = _in_child(
+        "from orbitforge import modular\n"
+        "from orbitforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({command.split()!r})\n"
+        "print(code, any(name.startswith('numpy.') for name in sys.modules),"
+        " modular.np is sys.modules['numpy'])\n"
+    )
+    assert out == f"0 {loads} True\n"
+
+
+def test_modular_takes_numpy_already_imported():
+    out = _in_child("import numpy\nfrom orbitforge import modular\nprint(modular.np is numpy)\n")
+    assert out == "True\n"
+
+
+def test_missing_numpy_is_named_at_import():
+    out = _in_child(
+        "import os\n"
+        "sys.path[:] = [p for p in sys.path if not os.path.exists(os.path.join(p, 'numpy'))]\n"
+        "try:\n"
+        "    import orbitforge\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(exc.name)\n"
+    )
+    assert out == "numpy\n"

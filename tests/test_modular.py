@@ -540,9 +540,10 @@ def test_checkpoint_errors(tmp_path):
     ck.write_text("2 1 10 2\n")
     with pytest.raises(CheckpointError):
         read_checkpoint(ck, PowerMap(2, 1))  # wrong field count
-    ck.write_text("2 1 10 2 1\n2 1 9 2 1\n")
-    with pytest.raises(CheckpointError):
-        read_checkpoint(ck, PowerMap(2, 1))  # out of order
+    for second in (9, 10):  # a modulus below the last, and one repeated
+        ck.write_text(f"2 1 10 2 1\n2 1 {second} 2 1\n")
+        with pytest.raises(CheckpointError, match="moduli out of order"):
+            read_checkpoint(ck, PowerMap(2, 1))
     ck.write_text("")
     assert read_checkpoint(ck, PowerMap(2, 1)) is None
 

@@ -427,6 +427,28 @@ def test_grid_cycles_across_the_int64_fence(monkeypatch):
         assert len(batches) == 1
 
 
+@pytest.mark.parametrize(
+    "axes",
+    [
+        # bounds 3, 4, 4: 4**31 is 2**62
+        [[31], [2**31 - 1, 2**31, -(2**31)]],
+        # bounds 16, 17, 17: 16**15 is 2**60, 17**15 about 2**61.3
+        [[15], [14**15, 2**59, -(2**59)]],
+    ],
+)
+def test_odd_windows_at_the_int64_fence(axes):
+    # an odd window stays on the array path while bound**m <= 2**61, half
+    # the fence, so that bound**m + |k| stays below 2**62; just past that
+    # edge int64 would still hold the values, and the map goes off the path
+    maps = _product_maps(PowerMap, axes)
+    table, tabled, inside = oracle_module._grid_table(PowerMap, axes)
+    bounds = [escape_bound(m).bound for m in maps]
+    assert table[4].tolist() == bounds and tabled.all()
+    assert [b**m.degree <= 2**61 for b, m in zip(bounds, maps)] == [True, False, False]
+    assert inside.tolist() == [True, False, False]
+    assert _grid_harvests(PowerMap, axes) == [_harvest_by_trace(m) for m in maps]
+
+
 def test_planted_three_cycle_is_reported(monkeypatch, capsys):
     # the subclass is called seed by seed; its other shifts keep the
     # family's harvest
