@@ -64,7 +64,6 @@ from .kernel import (
     approx_band_floor_q,
     approx_max_fixed_point,
     approx_max_fixed_point_q,
-    band_floor_is_real_q,
     format_decimal,
 )
 from .maps import PowerMap, QuadMap, RationalPoly, conjugacy_of_quad, lattice_check, parse_rational
@@ -318,7 +317,8 @@ def _bounds_rows(ks: list[int], digits: int, odd_linear: bool) -> list[dict]:
         if odd_linear:
             q = Fraction(k) - Fraction(1, 4)
             top = approx_max_fixed_point_q(q, digits)
-            floor = approx_band_floor_q(q, digits) if band_floor_is_real_q(q) else None
+            # real exactly when q >= 1/2 + sqrt(k), i.e. sqrt(k) >= 3/2
+            floor = approx_band_floor_q(q, digits) if k >= 3 else None
         else:
             if k == 0:
                 top = DecimalApprox("1." + "0" * digits, digits, Fraction(0))

@@ -73,7 +73,16 @@ def iroot(n: int, m: int) -> int:
     Even degrees go through math.isqrt: for m = 2j, r**m <= n exactly when
     r**j <= isqrt(n), since r**j is an integer.  So iroot(n, 2j) is
     iroot(isqrt(n), j), halving m while it is even; only an odd degree
-    m >= 3 that is left runs Newton's iteration.  No float is involved.
+    m >= 3 that is left runs Newton's iteration, with no float and no
+    fix-up, as it stops exactly at the floor root f:
+
+    - For r >= 1, s = ((m-1)*r + n // r**(m-1)) // m is
+      floor(((m-1)*r + n/r**(m-1))/m), as floor division nests.
+    - By AM-GM that mean is at least n**(1/m), so s >= f.
+    - If r > f, then r**m > n, so n/r**(m-1) < r and s < r.
+    - The start 1 << ceil(bits/m) is above the root.  So r falls strictly
+      while r > f, never goes below f (so r >= 1, as n >= 2), and stops
+      (s >= r) exactly at f.
     """
     if m < 1:
         raise ValueError("root degree must be >= 1")
@@ -90,10 +99,6 @@ def iroot(n: int, m: int) -> int:
         if s >= r:
             break
         r = s
-    while r**m > n:
-        r -= 1
-    while (r + 1) ** m <= n:
-        r += 1
     return r
 
 

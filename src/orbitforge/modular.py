@@ -38,8 +38,8 @@ A round costs numpy tens of microseconds whatever its size, more than a
 small graph's whole work, so small graphs are peeled many at a time: their
 tables are laid end to end as the blocks of one graph, each offset by its
 start.  This module owns that block-graph layer, which the oracle's escape
-windows share: peel, the batcher batch_ranges, which cuts a list of sizes
-into index ranges, and _BATCH_NODES, one node budget for both callers.
+windows share: peel, batch_ranges, which cuts the windows' sizes into index
+ranges and is the reference for the scan's cut, and the budget _BATCH_NODES.
 Each node records its peel round, or the tail bound a jump gives it, so a
 block's longest tail is its highest level; a cycle's block is found from
 one of its nodes.  The oracle's windows keep the full peel: their tails
@@ -49,9 +49,10 @@ alone, with one bit per node in the peel and no block lookup.  A call for
 one modulus walks its own components as one batch.  max_cycle_scan walks
 each component once per scan: it cuts the moduli into runs whose new
 components fill one batch, walks a run's batch before the run's first
-summary, and hands each modulus the walked parts it combines.  The runs
-are cut as the scan goes, each once no later modulus can join it, so the
-first summary needs the components of the first run only.
+summary, and hands each modulus the walked parts it combines.  The cut is
+batch_ranges' rule applied as the moduli come, one comparison each: a run
+closes at the first modulus whose new components would take it past the
+budget, so the first summary needs the components of the first run only.
 
 naive_graph_oracle recomputes the same summary by per-node iteration with
 no shared machinery, as an independent witness for small M.
@@ -228,7 +229,8 @@ def batch_ranges(sizes) -> Iterator[tuple[int, int]]:
     """Cut items of these sizes (none negative), in order, into (start,
     stop) index ranges of at most _BATCH_NODES nodes, by searchsorted on
     the running total.  Only a range's first item takes it over the
-    budget, and a size-0 item joins the range before it."""
+    budget, and a size-0 item joins the range before it.  It cuts the
+    oracle's windows; _scan makes the same cut one modulus at a time."""
     ends = np.cumsum(sizes)
     start = done = 0
     while start < len(ends):
@@ -589,34 +591,21 @@ def max_cycle_scan(the_map, moduli: Iterable[int]) -> Iterator[FunctionalGraphSu
 
 
 def _scan(the_map, moduli: list[int]) -> Iterator[FunctionalGraphSummary]:
-    """The summaries of the ascending moduli, run by run.  The runs are cut
-    by batch_ranges over the components no earlier modulus had, as the
-    moduli come: past _BATCH_NODES new nodes pending, each range is
-    summarised but the last, which a later modulus may still join.  Before
-    a run's first summary, its components not yet walked are walked in one
-    batch, and parts keeps them for the rest of the scan."""
+    """The summaries of the ascending moduli, run by run.  A modulus joins
+    the open run if the run is empty, if it brings no component the scan
+    has not seen, or if its new nodes still fit in _BATCH_NODES.  Otherwise,
+    and after the last modulus, the run's new components are walked in one
+    batch into parts, kept for the scan, and the run's summaries yielded."""
     parts: dict[int, _Part] = {}
-    seen: set[int] = set()
-    pending: list[tuple[int, list[int]]] = []
-    sizes: list[int] = []
-    total = 0
-    for i, m in enumerate(moduli, 1):
-        qs = _components(the_map, m)
-        pending.append((m, qs))
-        sizes.append(sum(q for q in qs if q not in seen))
-        seen.update(qs)
-        total += sizes[-1]
-        last = i == len(moduli)
-        if total <= _BATCH_NODES and not last:
-            continue
-        ranges = list(batch_ranges(sizes))
-        # the last range stays pending until no later modulus can join it
-        keep = len(sizes) if last else ranges.pop()[0]
-        for lo, hi in ranges:
-            run = pending[lo:hi]
-            new = dict.fromkeys(q for _, qs in run for q in qs if q not in parts)
+    run: list[tuple[int, list[int]]] = []
+    new: dict[int, None] = {}  # the run's components, walked by no earlier run
+    for m in [*moduli, None]:  # None closes the last run
+        qs = [] if m is None else _components(the_map, m)
+        fresh = [q for q in qs if q not in parts and q not in new]
+        if run and (m is None or fresh and sum(new) + sum(fresh) > _BATCH_NODES):
             parts.update(_walk_components(the_map, list(new)))
-            for m, qs in run:
-                yield functional_graph(the_map, m, parts=[parts[q] for q in qs])
-        del pending[:keep], sizes[:keep]
-        total = sum(sizes)
+            for modulus, comps in run:
+                yield functional_graph(the_map, modulus, parts=[parts[q] for q in comps])
+            run, new = [], {}
+        run.append((m, qs))
+        new.update(dict.fromkeys(fresh))

@@ -162,6 +162,13 @@ def test_band_floor_is_real_q_threshold():
     assert band_floor_is_real_q(Fraction(19, 4)) is True
 
 
+def test_band_floor_is_real_on_the_odd_linear_grid():
+    # q = k - 1/4 is at or above its fixed point 1/2 + sqrt(k) exactly when
+    # sqrt(k) >= 3/2, the k >= 3 that the bounds command tests
+    for k in range(20001):
+        assert band_floor_is_real_q(Fraction(4 * k - 1, 4)) == (k >= 3), k
+
+
 @given(q=st.integers(min_value=2, max_value=10**9))
 def test_q_floor_matches_integer_family(q):
     # x**2 - q with integer q >= 2 is the integer family in disguise
@@ -174,6 +181,11 @@ def test_compare_to_band_floor_q_examples():
     assert compare_to_band_floor_q(2, q) is Side.ABOVE
     with pytest.raises(ValueError):
         compare_to_band_floor_q(1, Fraction(7, 4))
+
+
+def test_compare_to_band_floor_q_refuses_negative_x():
+    with pytest.raises(ValueError, match="x >= 0"):
+        compare_to_band_floor_q(Fraction(-1, 2), Fraction(19, 4))
 
 
 # ====================================================================

@@ -548,6 +548,12 @@ def test_checkpoint_errors(tmp_path):
     assert read_checkpoint(ck, PowerMap(2, 1)) is None
 
 
+def test_checkpoint_skips_blank_lines(tmp_path):
+    ck = tmp_path / "scan.ck"
+    ck.write_text("2 1 10 2 1\n\n  \n2 1 11 1 2\n")
+    assert read_checkpoint(ck, PowerMap(2, 1)) == 11
+
+
 def test_scan_rejects_bad_moduli():
     with pytest.raises(ValueError):
         list(max_cycle_scan(PowerMap(2, 1), [5, 1]))
@@ -595,6 +601,37 @@ def test_scan_cuts_the_same_runs(monkeypatch, the_map, top, walks):
     assert len(list(max_cycle_scan(the_map, range(2, top + 1)))) == top - 1
     assert len(calls) == walks
 
+
+_RANDOM_MODULI = [
+    sorted(random.Random(seed).sample(range(2, top), 60))
+    for seed, top in enumerate((2000, 8000, 30000, 70000))
+]
+
+
+@pytest.mark.parametrize("the_map", [PowerMap(2, 1), QuadMap(2, 1, 0)])
+@pytest.mark.parametrize(
+    "moduli",
+    # 16411 is a prime above 2**14; the moduli after it bring no new
+    # component, so they join its run however far over the budget it is
+    [[2, 3, 6, 16411, 32822, 49233, 98466], *_RANDOM_MODULI],
+)
+def test_scan_cuts_where_batch_ranges_cuts(monkeypatch, the_map, moduli):
+    # the scan's online cut against batch_ranges over the moduli's counts
+    # of nodes in components no earlier modulus had
+    seen: set[int] = set()
+    new = []
+    for m in moduli:
+        new.append([q for q in modular._components(the_map, m) if q not in seen])
+        seen.update(new[-1])
+    sizes = np.array([sum(qs) for qs in new], dtype=np.int64)
+    expected = [[q for qs in new[lo:hi] for q in qs] for lo, hi in modular.batch_ranges(sizes)]
+    calls = []
+    real = modular._walk_components
+    monkeypatch.setattr(
+        modular, "_walk_components", lambda f, qs: calls.append(qs) or real(f, qs)
+    )
+    assert len(list(max_cycle_scan(the_map, moduli))) == len(moduli)
+    assert calls == expected
 
 
 @pytest.mark.parametrize("the_map", [PowerMap(3, 2), QuadMap(2, 1, 0)])

@@ -175,6 +175,15 @@ def test_escape_is_sound_rejects_wrong_outcome():
         escape_is_sound(PowerMap(2, 3), trace)
 
 
+def test_escape_is_sound_refuses_degree_one_and_a_stalled_gauge():
+    escaped = OrbitTrace(5, (5, 2), "escapes", escape_step=1, certificate="x")
+    with pytest.raises(ValueError, match="degree 1"):
+        escape_is_sound(PowerMap(1, 3), escaped)
+    # 2 is a fixed point of x**2 - 2, so its gauge |x| never grows
+    stalled = OrbitTrace(2, (2,), "escapes", escape_step=0, certificate="x")
+    assert escape_is_sound(PowerMap(2, 2), stalled) is False
+
+
 # ====================================================================
 # harvest and cross-check
 # ====================================================================
@@ -221,6 +230,20 @@ def test_cross_check_identity_map():
     rep = cross_check(PowerMap(1, 0))
     assert rep.agree
     assert rep.observed.fixed_points == (-2, -1, 0, 1, 2)
+
+
+def test_cross_check_identity_map_reports_planted_observations():
+    # a harvest that misses a seed of the window, or holds a cycle, is an
+    # anomaly for the identity map
+    real = oracle_cycles(PowerMap(1, 0))
+    short = OrbitClassification((0,), (), (), None)
+    rep = cross_check(PowerMap(1, 0), short)
+    assert not rep.agree
+    assert "not every scanned seed is fixed" in rep.diff
+    planted = OrbitClassification(real.fixed_points, (Cycle(2, (0, 1)),), (), None)
+    rep = cross_check(PowerMap(1, 0), planted)
+    assert not rep.agree
+    assert rep.diff == "identity map: oracle found non-trivial cycles"
 
 
 def test_cross_check_degree_one_translation():
