@@ -142,8 +142,10 @@ def _rational_cycle(a: int, b: int, c: int) -> tuple[int, int, str, tuple[int, .
     if r * r == disc:
         period, root, top = 1, r, 1 - b
     else:
-        t = math.isqrt(disc - 4) if disc > 4 else 0
-        if t * t != disc - 4:  # t > 0 here: disc = 4 is a square
+        # a negative disc - 4 is no square, and t = 0 fails the test for it;
+        # disc = 4 is a square, taken by the fixed-point branch, so t > 0 here
+        t = math.isqrt(max(disc - 4, 0))
+        if t * t != disc - 4:
             return None
         period, root, top = 2, t, -1 - b
     roots = tuple(n // (2 * a) for n in (top + root, top - root) if n % (2 * a) == 0)
@@ -328,7 +330,8 @@ def band_integers(m: int, k: int) -> list[int]:
     range up to the floor of the max fixed point; its least element is found
     by walking down from that top while the integer below is not below the
     band floor (the band holds at most 3 integers).  Requires even degree
-    and k >= 2.
+    and k >= 2; with those checked here, each probe n = lo - 1 >= 0 is
+    passed as n over unit 1, which frac_side_of_band_floor takes as checked.
     """
     if m < 2 or m % 2:
         raise ValueError("the band is defined for even degree")
@@ -336,7 +339,7 @@ def band_integers(m: int, k: int) -> list[int]:
         raise ValueError("band floor is real only for k >= 2")
     top = max_fixed_point_floor(m, k)
     lo = top + 1
-    while lo > 0 and frac_side_of_band_floor(lo - 1, m, k) is not Side.BELOW:
+    while lo > 0 and frac_side_of_band_floor(lo - 1, m, k, unit=1) is not Side.BELOW:
         lo -= 1
     return list(range(lo, top + 1))
 

@@ -14,7 +14,9 @@ Exit codes: 0 success (and agreement), 1 verified disagreement (anomaly),
 2 usage error, 3 I/O, checkpoint or memory failure.  Every oracle
 disagreement names the one-map oracle command that reproduces it.  oracle
 refuses a grid with any map whose escape window holds more than
-oracle.WINDOW_LIMIT seeds (exit 2) before it builds anything.
+oracle.WINDOW_LIMIT seeds (exit 2) before it builds anything.  bounds
+refuses --digits, and orbit an escape point, past Python's int-to-str
+conversion limit (exit 2).
 
 Each subcommand declares the options it reads, so argparse refuses the rest
 with exit 2, and oracle refuses the other family's grids.  --format lists
@@ -202,8 +204,12 @@ def _render_classification_table(the_map, cls) -> str:
 
 
 def _decimal_minus_one(d: DecimalApprox) -> str:
-    scaled = round(d.as_fraction() * 10**d.digits)
-    return format_decimal(scaled - 10**d.digits, d.digits)
+    """d.value - 1 at d.digits places, for a landmark's d.value >= 0.  The
+    integer and fractional parts are read apart, so no int is parsed from
+    more digits than one part shows (the int-to-str limit bounds each)."""
+    whole, frac = d.value.split(".")
+    unit = 10**d.digits
+    return format_decimal(int(whole) * unit + int(frac) - unit, d.digits)
 
 
 # ====================================================================
@@ -315,7 +321,7 @@ def _bounds_rows(ks: list[int], digits: int, odd_linear: bool) -> list[dict]:
         if k < 0:
             raise ValueError("shift grid must be nonnegative (real fixed points)")
         if odd_linear:
-            q = Fraction(k) - Fraction(1, 4)
+            q = Fraction(4 * k - 1, 4)
             top = approx_max_fixed_point_q(q, digits)
             # real exactly when q >= 1/2 + sqrt(k), i.e. sqrt(k) >= 3/2
             floor = approx_band_floor_q(q, digits) if k >= 3 else None

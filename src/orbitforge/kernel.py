@@ -22,15 +22,19 @@ The integer floor of the fixed point (both families) is the integer root
 of floor(q) plus at most one step of that sign test.  Decimal output, which
 exists solely for plots and reports, bisects on scaled integers (the test
 point mid / 10**digits, never a Fraction) and carries a certified error
-bound.  In degree 2 both landmarks have closed forms in square roots,
-fix = (1 + sqrt(1 + 4q))/2 and floor = sqrt(q - fix), so math.isqrt
-brackets them within two units of 10**-digits and the bisection needs at
-most one sign test; degree m >= 3 bisects the whole range [0, floor(fix) + 1).
+bound, 0 or 10**-digits, each a shared Fraction rather than one built per
+decimal.  No int test point and no q that is already a Fraction is turned
+into a new Fraction either.  In degree 2 both landmarks have closed forms
+in square roots, fix = (1 + sqrt(1 + 4q))/2 and floor = sqrt(q - fix), so
+math.isqrt brackets them within two units of 10**-digits and the bisection
+needs at most one sign test; degree m >= 3 bisects the whole range
+[0, floor(fix) + 1).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,6 +164,8 @@ def _check_family(m: int, k: int) -> None:
 
 
 def _ratio(x) -> tuple[int, int]:
+    if isinstance(x, int):
+        return x, 1
     x = Fraction(x)
     return x.numerator, x.denominator
 
@@ -210,7 +216,8 @@ def max_fixed_point_floor(m: int, k: int) -> int:
 
 
 def _check_q(q) -> Fraction:
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     # 1 + 4q < 0, decided on the integers (the denominator is positive)
     if q.denominator + 4 * q.numerator < 0:
         raise ValueError("no real fixed points: 1 + 4q < 0")
@@ -237,18 +244,24 @@ def band_floor_is_real_q(q: Fraction) -> bool:
     return _fix_sign(q.numerator, q.denominator, 2, q.numerator, q.denominator) >= 0
 
 
+def _check_floor_q(q) -> Fraction:
+    """q as a checked Fraction (_check_q), refused unless its band floor is real."""
+    q = _check_q(q)
+    if _fix_sign(q.numerator, q.denominator, 2, q.numerator, q.denominator) < 0:
+        raise ValueError("band floor is real only when q >= its fixed point")
+    return q
+
+
 def compare_to_band_floor_q(x: Fraction | int, q: Fraction, *, unit=None) -> Side:
     """Order a rational x >= 0 against sqrt(q - fix) for x -> x**2 - q.
 
     `unit` works as in compare_to_max_fixed_point_q.
     """
     if unit is None:
-        q = Fraction(q)
         x, unit = _ratio(x)
         if x < 0:
             raise ValueError("band floor comparisons need x >= 0")
-        if not band_floor_is_real_q(q):
-            raise ValueError("band floor is real only when q >= its fixed point")
+        q = _check_floor_q(q)
     return _SIDES[_floor_sign(x, unit, 2, q.numerator, q.denominator)]
 
 
@@ -325,6 +338,16 @@ def _floor_bracket(qn: int, qd: int, unit: int) -> tuple[int, int]:
     return math.isqrt(max(a - g2 - 1, 0)), math.isqrt(a + 1 - g2) + 1
 
 
+_EXACT = Fraction(0)  # the error bound of an exact hit, shared by every one
+
+
+@functools.lru_cache(maxsize=64)
+def _ulp(digits: int) -> Fraction:
+    """10**-digits, the error bound of an inexact certified decimal, built
+    once per digits and shared (a Fraction is immutable)."""
+    return Fraction(1, 10**digits)
+
+
 def _bisect_decimal(side_of, params: tuple, digits: int, lo: int, hi: int) -> DecimalApprox:
     """Certified decimal floor of a landmark in (lo, hi) scaled units.
 
@@ -334,19 +357,21 @@ def _bisect_decimal(side_of, params: tuple, digits: int, lo: int, hi: int) -> De
     point n / unit relative to the landmark; the caller has checked params
     once, so the steps repeat no check and build no Fraction.  Bisection
     keeps the landmark in [lo, hi); an exact hit short-circuits with
-    error_bound 0, so the result does not depend on the bracket.
+    error_bound 0, so the result does not depend on the bracket.  Neither
+    error bound is built here: 0 is one shared Fraction, and 10**-digits
+    one per digits (_ulp).
     """
     unit = 10**digits
     while hi - lo > 1:
         mid = (lo + hi) // 2
         side = side_of(mid, *params, unit=unit)
         if side is Side.EQUAL:
-            return DecimalApprox(format_decimal(mid, digits), digits, Fraction(0))
+            return DecimalApprox(format_decimal(mid, digits), digits, _EXACT)
         if side is Side.BELOW:
             lo = mid
         else:
             hi = mid
-    return DecimalApprox(format_decimal(lo, digits), digits, Fraction(1, unit))
+    return DecimalApprox(format_decimal(lo, digits), digits, _ulp(digits))
 
 
 def approx_max_fixed_point(m: int, k: int, digits: int) -> DecimalApprox:
@@ -382,8 +407,6 @@ def approx_max_fixed_point_q(q: Fraction, digits: int) -> DecimalApprox:
 
 def approx_band_floor_q(q: Fraction, digits: int) -> DecimalApprox:
     """Certified decimal for sqrt(q - fix) of x -> x**2 - q, when real."""
-    q = Fraction(q)
-    if not band_floor_is_real_q(q):
-        raise ValueError("band floor is real only when q >= its fixed point")
+    q = _check_floor_q(q)
     lo, hi = _floor_bracket(q.numerator, q.denominator, _unit(digits))
     return _bisect_decimal(compare_to_band_floor_q, (q,), digits, lo, hi)

@@ -54,6 +54,7 @@ from __future__ import annotations
 import bisect
 import inspect
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -149,7 +150,9 @@ def iterate_with_escape(
     the tail length.  escapes traces end at the first point outside the
     window, with a certificate naming the bound.  A seed outside the window
     that the map fixes does not escape: only the identity has one.  eb is
-    escape_bound(the_map), for callers that have it already.
+    escape_bound(the_map), for callers that have it already.  An escape
+    point with more digits than the int-to-str conversion limit cannot be
+    named in its certificate, and is refused with ValueError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -168,7 +171,14 @@ def iterate_with_escape(
             return OrbitTrace(seed, tuple(points), "enters_cycle", cycle=cycle, tail_length=start)
         if abs(x) > bound and (step or the_map(x) != x):
             points.append(x)
-            certificate = f"|{x}| > {bound} ({eb.justification})"
+            try:
+                certificate = f"|{x}| > {bound} ({eb.justification})"
+            except ValueError:  # only int-to-str conversion raises it here
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(
+                    f"the escape point at step {step} has more than {limit} digits, "
+                    "the int-to-str conversion limit"
+                ) from None
             return OrbitTrace(
                 seed, tuple(points), "escapes", escape_step=step, certificate=certificate
             )

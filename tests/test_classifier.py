@@ -14,6 +14,7 @@ from orbitforge.classify import (
     DIVERGES_SPLIT,
     DIVERGES_UP,
     Cycle,
+    _rational_cycle,
     band_gap_checks,
     band_integers,
     band_width_decimal,
@@ -247,6 +248,36 @@ def test_classify_quad_worked_examples():
     assert got.two_cycles == ()
 
 
+def test_rational_cycle_near_disc_four_by_substitution():
+    # every (a, b, c) with |a| <= 3, |b|, |c| <= 6 whose disc = (b-1)**2 - 4ac
+    # lies in -8..8.  A rational periodic point p/q (lowest terms) of an
+    # integer quadratic has q | a: a prime power r**v of q above its power
+    # r**e in a leaves r**(2v - e) in the next point's denominator, which
+    # then grows without end.  Every periodic point here is within 5 of 0,
+    # so the points n/|a| with |n| <= 10|a| are all the candidates.
+    reached = set()
+    for a in (-3, -2, -1, 1, 2, 3):
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                disc = (b - 1) ** 2 - 4 * a * c
+                if not -8 <= disc <= 8:
+                    continue
+                reached.add(disc)
+                f = QuadMap(a, b, c)
+                xs = [Fraction(n, abs(a)) for n in range(-10 * abs(a), 10 * abs(a) + 1)]
+                fixed = {x for x in xs if f(x) == x}
+                two = {x for x in xs if f(x) != x and f(f(x)) == x}
+                hit = _rational_cycle(a, b, c)
+                points = fixed or two
+                if not points:
+                    assert hit is None, (a, b, c)
+                    continue
+                assert hit[0] == (1 if fixed else 2), (a, b, c)
+                assert set(hit[3]) == {int(x) for x in points if x.denominator == 1}
+    # (b-1)**2 is 0 or 1 mod 4, so these are all the values disc takes
+    assert reached == {d for d in range(-8, 9) if d % 4 in (0, 1)}
+
+
 def test_classify_quad_parametrized_families():
     for j in range(0, 8):
         got = classify_quad(QuadMap(1, 2, -j * (j + 1)))
@@ -394,6 +425,38 @@ def test_band_integers_matches_predicate_scan(m, k):
         n for n in range(0, top + 1) if frac_side_of_band_floor(n, m, k) is not Side.BELOW
     ]
     assert band_integers(m, k) == by_scan
+
+
+def test_band_integers_probes_as_the_checked_call(monkeypatch):
+    # band_integers checks even m >= 2 and k >= 2 itself and probes
+    # n = lo - 1 >= 0 over unit 1; each probe answers as the checked call
+    probes = []
+
+    def probe(n, m, k, *, unit=None):
+        probes.append((n, m, k, unit))
+        return frac_side_of_band_floor(n, m, k, unit=unit)
+
+    monkeypatch.setattr("orbitforge.classify.frac_side_of_band_floor", probe)
+    for m in range(2, 13, 2):
+        for k in range(2, 5001):
+            band_integers(m, k)
+    assert len(probes) >= 6 * 4999
+    for n, m, k, unit in probes:
+        assert unit == 1 and n >= 0
+        assert frac_side_of_band_floor(n, m, k) is frac_side_of_band_floor(n, m, k, unit=1)
+
+
+# SHA-256 over "k band_integers(2, k) band_width_exceeds_one(k)" lines for k
+# in 50000..58000, the AC6 range of every band-certify benchmark variant,
+# recorded with the kernel that built a Fraction for each decimal
+BAND_50000_58000_SHA256 = "8e847ccc7923be50e6d0b154a6001b198cf5f30dcbac67c86205053eee40561e"
+
+
+def test_band_checks_digest_over_the_benchmark_range():
+    h = hashlib.sha256()
+    for k in range(50000, 58001):
+        h.update(f"{k} {band_integers(2, k)} {band_width_exceeds_one(k)}\n".encode())
+    assert h.hexdigest() == BAND_50000_58000_SHA256
 
 
 def test_band_gap_checks_small_range():

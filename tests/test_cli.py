@@ -5,6 +5,7 @@ import json
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,12 @@ from orbitforge.cli import (
     parse_grid,
 )
 from orbitforge.classify import classify_quad
+from orbitforge.kernel import (
+    DecimalApprox,
+    approx_max_fixed_point,
+    approx_max_fixed_point_q,
+    format_decimal,
+)
 from orbitforge.maps import PowerMap, QuadMap
 from orbitforge.modular import functional_graph, read_checkpoint
 from orbitforge.oracle import oracle_cycles
@@ -403,6 +410,23 @@ def test_bounds_golden_bytes(capsys, fmt, odd_linear):
     assert hashlib.sha256(out).hexdigest() == BOUNDS_0_300_SHA256[(fmt, odd_linear)]
 
 
+# SHA-256 of `bounds --k 30000..30299 --digits 12 --format csv` stdout, the
+# rows of every band-certify benchmark variant, recorded with the kernel
+# that built a Fraction for each decimal
+BOUNDS_30000_30299_SHA256 = {
+    False: "de521a3403b7bac0231bbe0f12e5cca1687180160ab80b061299af56ddc7661e",
+    True: "3994c1d0359c3b89b1cbad48bf5fa1b8d5fd39422262bdfd871da8cbb74e876e",
+}
+
+
+@pytest.mark.parametrize("odd_linear", [False, True])
+def test_bounds_golden_bytes_over_the_benchmark_range(capsys, odd_linear):
+    argv = ["bounds", "--k", "30000..30299", "--digits", "12", "--format", "csv"]
+    assert main(argv + (["--odd-linear"] if odd_linear else [])) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == BOUNDS_30000_30299_SHA256[odd_linear]
+
+
 def test_bounds_usage_errors():
     assert main(["bounds", "--k", "2..5", "--digits", "0"]) == 2
     assert main(["bounds", "--k=-3..5"]) == 2  # negative shift
@@ -436,6 +460,37 @@ def test_bounds_refuses_digits_over_int_str_limit(monkeypatch, capsys, int_str_l
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [len(row.split(",")[1].split(".")[1]) for row in rows] == [640, 640]
         calls.clear()
+
+
+def _minus_one_by_fraction(d):
+    """d.value - 1 by the Fraction formula that _decimal_minus_one replaced."""
+    scaled = round(d.as_fraction() * 10**d.digits)
+    return format_decimal(scaled - 10**d.digits, d.digits)
+
+
+def test_decimal_minus_one_matches_the_fraction_formula(int_str_limit_640):
+    tops = [DecimalApprox("1." + "0" * 640, 640, Fraction(0))]  # bounds' k = 0
+    for digits in (1, 2, 12, 639, 640):
+        tops += [approx_max_fixed_point(2, k, digits) for k in (1, 2, 3, 30000, 10**300)]
+        tops += [approx_max_fixed_point_q(Fraction(4 * k - 1, 4), digits) for k in (0, 1, 7)]
+    tops += [approx_max_fixed_point(2, k, 12) for k in range(1, 2001)]
+    tops += [approx_max_fixed_point_q(Fraction(4 * k - 1, 4), 12) for k in range(2001)]
+    for top in tops:
+        assert cli_module._decimal_minus_one(top) == _minus_one_by_fraction(top)
+
+
+def test_orbit_refuses_an_escape_point_over_int_str_limit(capsys, int_str_limit_640):
+    # odd degree: the window is iroot(3, m) + 2 = 3, so the seed 2 escapes at
+    # step 1 to 2**m - 3, which has 904 digits at m = 3001 and 302 at 1001
+    assert main(["orbit", "power", "3001", "3", "--seed", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the escape point at step 1 has more than 640 digits, "
+        "the int-to-str conversion limit\n"
+    )
+    assert main(["orbit", "power", "3001", "3", "--seed", "2", "--format", "json"]) == 2
+    assert "the int-to-str conversion limit" in capsys.readouterr().err
+    assert main(["orbit", "power", "1001", "3", "--seed", "2"]) == 0
+    assert f"escapes at step 1: |{2**1001 - 3}| > 3" in capsys.readouterr().out
 
 
 # ====================================================================

@@ -251,6 +251,30 @@ def test_q_family_refuses_exactly_when_one_plus_4q_is_negative():
             assert max_fixed_point_floor_q(q) >= 0
 
 
+def test_error_bound_is_zero_or_one_unit_at_every_digits():
+    # fix = 2 at k = 2 and 3/2 at q = 3/4 are exact; the band floor 0 at
+    # k = 2 is never tested, so it reports one unit; the rest are irrational
+    for digits in range(1, 641):
+        ulp = Fraction(1, 10**digits)
+        for a, want in (
+            (approx_max_fixed_point(2, 2, digits), 0),
+            (approx_max_fixed_point(2, 5, digits), ulp),
+            (approx_band_floor(2, 2, digits), ulp),
+            (approx_band_floor(2, 7, digits), ulp),
+            (approx_max_fixed_point_q(Fraction(3, 4), digits), 0),
+            (approx_max_fixed_point_q(Fraction(47, 4), digits), ulp),
+            (approx_band_floor_q(Fraction(47, 4), digits), ulp),
+        ):
+            assert type(a.error_bound) is Fraction and a.error_bound == want
+    for digits in (1, 12, 48):  # the bisection of the whole range, m >= 3
+        for a, want in (
+            (approx_max_fixed_point(3, 6, digits), 0),  # 2**3 - 2 = 6
+            (approx_max_fixed_point(3, 7, digits), Fraction(1, 10**digits)),
+            (approx_band_floor(4, 14, digits), Fraction(1, 10**digits)),
+        ):
+            assert type(a.error_bound) is Fraction and a.error_bound == want
+
+
 def test_decimal_approx_as_fraction():
     d = DecimalApprox("2.302775", 6, Fraction(1, 10**6))
     assert d.as_fraction() == Fraction(2302775, 10**6)
